@@ -8,16 +8,17 @@ blocks with an MCX cost count. Outcome-conditioned corrections are basis
 permutations tracked classically on both sides. A final diagonal filter
 performs the probabilistic step that reaches the target.
 
-Layout convention for states passed to ``execute_round``: qubit order is
-[A-data..., A-aux..., B-data...], with the auxiliary register prepared in
-the all-zeros state. ``run_schedule`` manages frames, auxiliary attach and
-detach, and corrections, so most callers only need it.
+The dilation is what is costed; ``run_schedule`` executes the equivalent
+Kraus form with no auxiliary register. The dilated reference,
+``execute_round``, takes states in the qubit order [A-data..., A-aux...,
+B-data...] with the auxiliary register prepared in the all-zeros state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -31,11 +32,10 @@ from .majorize import (
     vidal_probability,
 )
 from .noise import depolarize
-from .qmath import _fix_degenerate_gauge, schmidt_decompose
+from .qmath import _fix_degenerate_gauge, clip_unit, schmidt_decompose
 
 COMPLETENESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
-_EQUAL_PAULI = (1 / 3, 1 / 3, 1 / 3)
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,10 @@ class DiagonalPOVM:
     def __post_init__(self):
         if len(self.elements) != len(self.corrections):
             raise ValueError("need one correction permutation per element")
-        total = np.zeros_like(np.asarray(self.elements[0], dtype=float))
-        for el in self.elements:
-            el = np.asarray(el, dtype=float)
-            if el.min() < -SUPPORT_TOL or el.max() > 1 + 1e-12:
-                raise ValueError("POVM diagonal entries must lie in [0, 1]")
-            total = total + el
+        els = np.asarray(self.elements, dtype=float)
+        if els.min() < -SUPPORT_TOL or els.max() > 1 + 1e-12:
+            raise ValueError("POVM diagonal entries must lie in [0, 1]")
+        total = els.sum(axis=0)
         on = np.abs(total - 1.0) <= COMPLETENESS_TOL
         off = np.abs(total) <= COMPLETENESS_TOL
         if not np.all(on | off):
@@ -69,8 +67,7 @@ class DiagonalPOVM:
     @property
     def support(self) -> np.ndarray:
         """Boolean mask of positions where the elements sum to 1."""
-        total = sum(np.asarray(el, dtype=float) for el in self.elements)
-        return total > 0.5
+        return np.sum(np.asarray(self.elements, dtype=float), axis=0) > 0.5
 
 
 @dataclass(frozen=True)
@@ -88,20 +85,28 @@ class EmbeddingUnitary:
     blocks: list
 
     def assemble(self) -> np.ndarray:
-        ka = 2**self.aux_count
-        u = np.zeros((self.data_dim * ka, self.data_dim * ka), dtype=complex)
-        for j, blk in enumerate(self.blocks):
-            u[j * ka : (j + 1) * ka, j * ka : (j + 1) * ka] = blk
-        return u
+        n = self.data_dim * 2**self.aux_count
+        u = np.einsum("jk,jab->jakb", np.eye(self.data_dim), self.blocks)
+        return u.reshape(n, n).astype(complex)
 
 
 class SynthesisBlock(NamedTuple):
-    """One multi-controlled unitary with its gate-cost accounting."""
+    """Auxiliary unitary U^j controlled on data state j, with its MCX cost."""
 
     index: int
-    unitary: np.ndarray
+    block: np.ndarray
+    data_dim: int
     mcx_count: int
     touched_qubits: tuple
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The controlled block as a dense matrix on data plus auxiliary."""
+        ka = self.block.shape[0]
+        lo, hi = self.index * ka, (self.index + 1) * ka
+        full = np.eye(self.data_dim * ka, dtype=complex)
+        full[lo:hi, lo:hi] = self.block
+        return full
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,11 @@ class ScheduleRound:
     party: str
     current: np.ndarray
     target_vector: np.ndarray
+
+    def correction(self, m: int) -> np.ndarray:
+        """Correction of outcome m; identity for noise-only outcomes."""
+        corr = self.povm.corrections
+        return np.asarray(corr[m] if m < len(corr) else np.arange(len(corr[0])))
 
 
 @dataclass(frozen=True)
@@ -239,8 +249,6 @@ def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUni
     amplitude column) and must be opted into with ``allow_multi``.
     """
     m = len(povm.elements)
-    if m < 1:
-        raise ValueError("POVM must have at least one element")
     if m > 2 and not allow_multi:
         raise ValueError(
             "embedding supports two elements; pass allow_multi=True for the "
@@ -251,23 +259,17 @@ def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUni
     k = max(1, math.ceil(math.log2(m))) if m > 1 else 0
     ka = 2**k
     blocks = []
-    for j in range(d):
-        total = sum(el[j] for el in diags)
-        if abs(total - 1.0) <= COMPLETENESS_TOL:
-            col = np.zeros(ka)
-            col[:m] = np.sqrt([el[j] for el in diags])
-            col /= np.linalg.norm(col)
-            blocks.append(_reflection_from_column(col))
-        elif abs(total) <= COMPLETENESS_TOL:
+    for j, on in enumerate(povm.support):
+        if not on:
             blocks.append(np.eye(ka))
-        else:
-            raise ValueError("POVM diagonals are neither complete nor zero at "
-                             f"position {j}")
-    emb = EmbeddingUnitary(data_dim=d, aux_count=k, n_outcomes=m, blocks=blocks)
-    u = emb.assemble()
-    if not np.allclose(u @ u.conj().T, np.eye(d * ka), atol=1e-10):
-        raise ArithmeticError("assembled embedding is not unitary")
-    return emb
+            continue
+        col = np.zeros(ka)
+        col[:m] = np.sqrt([el[j] for el in diags])
+        blocks.append(_reflection_from_column(col / np.linalg.norm(col)))
+    stack = np.asarray(blocks)
+    if not np.allclose(stack @ stack.conj().swapaxes(1, 2), np.eye(ka), atol=1e-10):
+        raise ArithmeticError("embedding block is not unitary")
+    return EmbeddingUnitary(data_dim=d, aux_count=k, n_outcomes=m, blocks=blocks)
 
 
 def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
@@ -279,36 +281,47 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     blocks cost nothing and are omitted. Single-qubit gates are free.
     """
     d, k = emb.data_dim, emb.aux_count
-    ka = 2**k
     n_data = int(round(math.log2(d)))
     if 2**n_data != d:
         raise ValueError("data dimension must be a power of two for synthesis")
     touched = tuple(range(n_data + k))
     per_block = 2 * (emb.n_outcomes - 1)
-    blocks = []
-    for j, u_j in enumerate(emb.blocks):
-        if np.allclose(u_j, np.eye(ka), atol=1e-12):
-            continue
-        full = np.eye(d * ka, dtype=complex)
-        full[j * ka : (j + 1) * ka, j * ka : (j + 1) * ka] = u_j
-        blocks.append(SynthesisBlock(j, full, per_block, touched))
-    product = np.eye(d * ka, dtype=complex)
-    for blk in blocks:
-        product = blk.unitary @ product
-    if not np.allclose(product, emb.assemble(), atol=1e-10):
-        raise ArithmeticError("block product does not reproduce the embedding")
-    return SynthesisReport(blocks=blocks)
+    eye = np.eye(2**k)
+    return SynthesisReport(blocks=[
+        SynthesisBlock(j, u_j, d, per_block, touched)
+        for j, u_j in enumerate(emb.blocks)
+        if not np.allclose(u_j, eye, atol=1e-12)
+    ])
+
+
+def _gate_noise(rho: np.ndarray, rnd: ScheduleRound, p_g: float, n_qubits: int):
+    """Apply a round's gate noise to qubits < n_qubits, composed per qubit.
+
+    An equal-weight Pauli channel of probability p scales a Bloch vector by
+    lambda = 1 - 4p/3, so the n_q channels the MCX gates apply to qubit q of
+    [A-data..., A-aux...] compose to one of probability 3(1 - lambda^n_q)/4.
+    Returns the state and that probability for every qubit.
+    """
+    emb = rnd.embedding
+    n = np.zeros(emb.data_dim.bit_length() - 1 + emb.aux_count)
+    for blk in rnd.synthesis.blocks:
+        n[list(blk.touched_qubits)] += blk.mcx_count
+    probs = 0.75 * (1.0 - (1.0 - 4.0 * p_g / 3.0) ** n)
+    for q in np.flatnonzero(probs[:n_qubits]):
+        rho = depolarize(rho, probs[q], qubit=int(q))
+    return rho, probs
 
 
 def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
     """Run one round on a density matrix, returning uncorrected branches.
 
-    The state must include the acting party's auxiliary register in the
-    all-zeros state (layout [A-data, A-aux, B-data]). Gate noise is applied
-    first: for every MCX gate in the synthesis report, each touched qubit
-    passes through the equal-weight Pauli channel with probability ``p_g``.
-    Then the exact embedding unitary acts and the auxiliary register is
-    measured projectively.
+    The Naimark reference for ``run_schedule``'s Kraus form. The state must
+    include the acting party's auxiliary register in the all-zeros state
+    (layout [A-data, A-aux, B-data]). Gate noise acts first: each MCX gate
+    of the synthesis report sends each touched qubit through the
+    equal-weight Pauli channel with probability ``p_g``, composed per qubit
+    by ``_gate_noise``. Then the exact embedding unitary acts and the
+    auxiliary register is measured projectively.
 
     Returns a list of (weight, density matrix, correction permutation)
     with weights summing to 1; branch states are normalized and have the
@@ -326,16 +339,10 @@ def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
     pops = np.real(np.diag(state)).reshape(d, ka, d_b).sum(axis=(0, 2))
     if pops[1:].sum() > 1e-10:
         raise ValueError("auxiliary register is not in the all-zeros state")
-    rho = state
-    if p_g > 0:
-        for blk in rnd.synthesis.blocks:
-            for _ in range(blk.mcx_count):
-                for q in blk.touched_qubits:
-                    rho = depolarize(rho, p_g, _EQUAL_PAULI, qubit=q)
+    rho, _ = _gate_noise(state, rnd, p_g, d.bit_length() - 1 + emb.aux_count)
     u = emb.assemble()
     t = rho.reshape(d * ka, d_b, d * ka, d_b)
-    t = np.einsum("ij,jakb->iakb", u, t, optimize=True)
-    t = np.einsum("iakb,lk->ialb", t, u.conj(), optimize=True)
+    t = np.einsum("ij,jakb,lk->ialb", u, t, u.conj(), optimize=True)
     view = t.reshape(d, ka, d_b, d, ka, d_b)
     branches = []
     for m in range(ka):
@@ -345,30 +352,20 @@ def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
             continue
         out = np.zeros((d, ka, d_b, d, ka, d_b), dtype=complex)
         out[:, 0, :, :, 0, :] = block / w
-        if m < len(rnd.povm.corrections):
-            perm = np.asarray(rnd.povm.corrections[m], dtype=int)
-        else:
-            perm = np.arange(d)
-        branches.append((w, out.reshape(dim, dim), perm))
+        branches.append((w, out.reshape(dim, dim), rnd.correction(m)))
     return branches
 
 
-def apply_correction(state: np.ndarray, perm, aux_states: int = 1) -> np.ndarray:
+def apply_correction(state: np.ndarray, perm) -> np.ndarray:
     """Relabel both parties' data bases by the permutation.
 
     Moves the branch state with vector components v[perm[i]] back to v:
-    new basis index perm[i] receives old index i on each side. The
-    auxiliary register (``aux_states`` levels between the two data
-    registers) is untouched.
+    new basis index perm[i] receives old index i on each side.
     """
     p = np.asarray(perm, dtype=int)
-    d = p.size
-    dim = state.shape[0]
-    if d * aux_states * d != dim:
+    if p.size**2 != state.shape[0]:
         raise ValueError("permutation size does not match the state layout")
-    x = np.arange(aux_states)
-    full = ((p[:, None, None] * aux_states + x[None, :, None]) * d
-            + p[None, None, :]).ravel()
+    full = (p[:, None] * p.size + p[None, :]).ravel()
     out = np.zeros_like(state)
     out[np.ix_(full, full)] = state
     return out
@@ -379,7 +376,7 @@ def execute_filter(state: np.ndarray, filter_diag) -> tuple:
 
     The filter F is diagonal with entries ``filter_diag`` and must satisfy
     F†F <= I. Returns (success weight, normalized success state) where the
-    weight is tr(F rho F†).
+    weight is tr(F rho F†), clipped into [0, 1] by ``clip_unit``.
     """
     f = np.asarray(filter_diag, dtype=float).reshape(-1)
     if np.max(f**2) > 1 + 1e-10 or f.min() < 0:
@@ -394,7 +391,7 @@ def execute_filter(state: np.ndarray, filter_diag) -> tuple:
     w = float(np.real(np.trace(out)))
     if w > 1e-14:
         out = out / w
-    return w, out
+    return clip_unit(w, "filter success weight"), out
 
 
 def _equal_qubit_split(size: int) -> int:
@@ -516,34 +513,36 @@ def run_schedule(
     """Execute a compiled schedule on a physical two-party density matrix.
 
     Rotates the state into the schedule's Schmidt frame, runs every round
-    (attaching the auxiliary register in zeros, executing, applying the
-    recorded corrections, and averaging the corrected branches), applies
-    the final filter, and rotates the success branch into the physical
-    target frame.
+    in Kraus form on the data registers, applies the final filter, and
+    rotates the success branch into the physical target frame. A round
+    equals its dilated reference ``execute_round`` with the corrected
+    branches summed: gate noise acts first and leaves the auxiliary
+    register in a diagonal mixture w_x, and block U^j is controlled by A's
+    data index j, so outcome m maps rho to rho o (M_m (x) 1) with
+    M_m[j, k] = sum_x w_x U^j[m, x] conj(U^k[m, x]), then its correction.
 
     With ``state`` omitted the pure source state of the schedule is used.
     Returns (success probability, output density matrix).
     """
     d = schedule.dim
+    n_data = d.bit_length() - 1
     if state is None:
-        mat = schedule.left_basis @ np.diag(np.sqrt(schedule.alpha)) \
-            @ schedule.right_basis.T
+        mat = schedule.left_basis * np.sqrt(schedule.alpha) @ schedule.right_basis.T
         psi = mat.ravel()
         state = np.outer(psi, psi.conj())
     w_in = np.kron(schedule.left_basis, schedule.right_basis).conj().T
     rho = w_in @ state @ w_in.conj().T
     for rnd in schedule.rounds:
-        ka = 2**rnd.embedding.aux_count
+        rho, probs = _gate_noise(rho, rnd, p_g, n_data)
+        aux = reduce(np.kron, ([1.0 - 2.0 * p / 3.0, 2.0 * p / 3.0]
+                               for p in probs[n_data:]), np.ones(1))
+        u = np.asarray(rnd.embedding.blocks)
+        kraus = np.einsum("jmx,x,kmx->mjk", u, aux, u.conj())
         rho4 = rho.reshape(d, d, d, d)
-        aux = np.zeros((ka, ka))
-        aux[0, 0] = 1.0
-        big = np.einsum("abcd,xy->axbcyd", rho4, aux).reshape(
-            d * ka * d, d * ka * d
-        )
-        acc = np.zeros((d * d, d * d), dtype=complex)
-        for w, branch, perm in execute_round(big, rnd, p_g):
-            small = branch.reshape(d, ka, d, d, ka, d)[:, 0, :, :, 0, :]
-            acc += w * apply_correction(small.reshape(d * d, d * d), perm)
+        acc = np.zeros_like(rho)
+        for m, mat in enumerate(kraus):
+            branch = (rho4 * mat[:, None, :, None]).reshape(rho.shape)
+            acc += apply_correction(branch, rnd.correction(m))
         rho = acc
     w, rho = execute_filter(rho, schedule.final_filter)
     v_out = np.kron(schedule.target_left, schedule.target_right)

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .qmath import clip_unit
+
 RECON_TOL = 1e-10
 SUM_TOL = 1e-12
 FOLD_TOL = 1e-12
@@ -76,8 +78,9 @@ def vidal_probability(alpha, beta) -> float:
 
     E_l is the suffix sum from position l; positions with E_l(beta) = 0 are
     skipped. Returns a value in (0, 1], equal to 1 exactly when alpha is
-    majorized by beta. A target of larger Schmidt rank than the source is
-    unreachable and yields 0.0.
+    majorized by beta; the l = 0 ratio of two sums that round apart is
+    clipped by ``clip_unit``. A target of larger Schmidt rank than the
+    source is unreachable and yields 0.0.
     """
     a, b = _pad_pair(alpha, beta)
     rank_a = int(np.sum(a > 1e-14))
@@ -86,7 +89,7 @@ def vidal_probability(alpha, beta) -> float:
         return 0.0
     ta, tb = _tails(a), _tails(b)
     mask = tb > 1e-14
-    return float(np.min(ta[mask] / tb[mask]))
+    return clip_unit(np.min(ta[mask] / tb[mask]), "conversion probability")
 
 
 def vidal_intermediate(alpha, beta) -> np.ndarray:

@@ -27,6 +27,7 @@ from .qmath import (
     PAULI_I,
     PAULI_X,
     apply_channel,
+    assert_density_matrix,
     fidelity,
     partial_trace,
     permute_subsystems,
@@ -169,6 +170,22 @@ def _pairs_to_parties(state: np.ndarray, n_pairs: int) -> np.ndarray:
     return permute_subsystems(state, perm)
 
 
+def _pair_states(*states) -> list:
+    """The inputs as complex arrays, each checked to be a 4x4 density matrix.
+
+    Raises ValueError for a wrong shape or for a matrix that is not
+    Hermitian, of unit trace and positive (``assert_density_matrix``).
+    """
+    out = []
+    for rho in states:
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (4, 4):
+            raise ValueError(f"pair state must be 4x4, got shape {rho.shape}")
+        assert_density_matrix(rho)
+        out.append(rho)
+    return out
+
+
 def _schmidt_vector(state: np.ndarray) -> np.ndarray:
     n = state.size
     d = int(round(np.sqrt(n)))
@@ -225,10 +242,10 @@ def run_nec(rho_a: np.ndarray, rho_b: np.ndarray, g: int = 1, p_g: float = 0.0) 
     Plans against the tensor product of the per-pair surrogates, targets a
     Bell state on the first pair, and executes with per-MCX gate noise
     ``p_g``. The result's output state is the reduced state of the first
-    pair on the success branch.
+    pair on the success branch. Raises ValueError unless both inputs are
+    two-qubit density matrices.
     """
-    rho_a = np.asarray(rho_a, dtype=complex)
-    rho_b = np.asarray(rho_b, dtype=complex)
+    rho_a, rho_b = _pair_states(rho_a, rho_b)
     surrogate_full, target_full = nec_planning_states(rho_a, rho_b)
     rho_full = _pairs_to_parties(np.kron(rho_a, rho_b), 2)
     schedule, prob, rho_out, branches = _run_conversion(
@@ -289,15 +306,16 @@ def run_cec(
     default, or the degraded catalyst's own surrogate when
     ``recompile_from_state`` is set. The target returns the planning
     catalyst alongside the Bell output, and ``catalyst_post`` reports the
-    catalyst pair's reduced state on the success branch.
+    catalyst pair's reduced state on the success branch. Raises ValueError
+    unless both pairs and a density-matrix catalyst are two-qubit density
+    matrices.
     """
-    rho_a = np.asarray(rho_a, dtype=complex)
-    rho_b = np.asarray(rho_b, dtype=complex)
+    rho_a, rho_b = _pair_states(rho_a, rho_b)
     if isinstance(catalyst, CatalystSpec):
         ideal = catalyst
         cat_dm = np.outer(catalyst.state, catalyst.state.conj())
     else:
-        cat_dm = np.asarray(catalyst, dtype=complex)
+        (cat_dm,) = _pair_states(catalyst)
         ideal = ideal_catalyst
         if ideal is None:
             top = surrogate(cat_dm)
@@ -339,7 +357,7 @@ def reuse_catalyst(
     By default the schedule stays the one compiled for the ideal catalyst;
     only the physical catalyst state is the degraded one. Setting
     ``recompile_from_state`` replans against the degraded catalyst's
-    surrogate instead.
+    surrogate instead. Its inputs are validated as in ``run_cec``.
     """
     if prev.catalyst_post is None or prev.catalyst_spec is None:
         raise ValueError("previous result does not carry a catalyst")
@@ -363,11 +381,19 @@ def run_distillation(
     a bilateral CNOT from the first pair onto the second (each CNOT first
     depolarizes its two qubits with probability ``p_g`` each), measures
     the second pair in the plan basis, and accepts equal outcomes. The
-    output is the first pair's reduced state on the accept branch.
+    output is the first pair's reduced state on the accept branch. Raises
+    ValueError unless both inputs are two-qubit density matrices.
     """
+    return _distill(*_pair_states(rho_a, rho_b), plan, p_g)
+
+
+def _distill(
+    rho_a: np.ndarray, rho_b: np.ndarray, plan: DistillationPlan, p_g: float
+) -> ProtocolResult:
+    """``run_distillation`` on inputs that are already validated."""
     if plan.basis not in _BASIS_VECTORS:
         raise ValueError("measurement basis must be one of X, Y, Z")
-    rho = np.kron(np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex))
+    rho = np.kron(rho_a, rho_b)
     ga0, ga1 = plan.alice_gates
     rho = apply_channel(rho, [np.asarray(ga0, dtype=complex)], on=[0])
     rho = apply_channel(rho, [np.asarray(ga0, dtype=complex).conj()], on=[1])
@@ -406,7 +432,9 @@ def optimize_distillation(
     maximizing output fidelity at the given gate-noise level. Ties are
     broken toward the lowest plan index (loop order: first gate, second
     gate, basis). Plans whose acceptance probability vanishes are skipped.
+    The inputs are validated once, as in ``run_distillation``.
     """
+    rho_a, rho_b = _pair_states(rho_a, rho_b)
     best_plan = None
     best_fid = -1.0
     index = 0
@@ -417,7 +445,7 @@ def optimize_distillation(
                     alice_gates=(gi, gj), basis=basis, index=index
                 )
                 index += 1
-                result = run_distillation(rho_a, rho_b, plan, p_g)
+                result = _distill(rho_a, rho_b, plan, p_g)
                 if result.success_probability < 1e-9:
                     continue
                 if result.output_fidelity > best_fid + 1e-12:

@@ -13,7 +13,8 @@ Multi-qubit registers follow the layout convention
 and all bipartite cuts separate Alice's block from Bob's block.
 
 Tolerances: 1e-10 for structural checks (unitarity, reconstruction,
-completeness), 1e-12 for normalization.
+completeness), 1e-12 for normalization and for the rounding excess a
+probability or fidelity may carry past [0, 1] (``clip_unit``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ STRUCTURAL_TOL = 1e-10
 NORM_TOL = 1e-12
 DEGENERACY_TOL = 1e-11
 PIN_TOL = 1e-8
+UNIT_TOL = 1e-12
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -83,6 +85,18 @@ def assert_density_matrix(rho: np.ndarray, atol: float = STRUCTURAL_TOL) -> None
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -atol:
         raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < -{atol}")
+
+
+def clip_unit(value: float, what: str) -> float:
+    """Clip a probability or fidelity that rounding carried past [0, 1].
+
+    An excess of at most UNIT_TOL is rounding and is clipped; a larger one
+    (or NaN) means the inputs were invalid, and raises ArithmeticError.
+    """
+    value = float(value)
+    if not -UNIT_TOL <= value <= 1.0 + UNIT_TOL:
+        raise ArithmeticError(f"{what} {value!r} lies outside [0, 1] beyond {UNIT_TOL}")
+    return min(max(value, 0.0), 1.0)
 
 
 def assert_pure_state(psi: np.ndarray) -> None:
@@ -260,13 +274,15 @@ def schmidt_decompose(
 
 
 def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """Overlap fidelity <target| rho |target> for a pure target."""
+    """Overlap fidelity <target| rho |target> for a pure target, in [0, 1].
+
+    Rounding past [0, 1] is clipped by ``clip_unit``, which raises beyond it.
+    """
     rho = np.asarray(rho, dtype=complex)
     target = np.asarray(target, dtype=complex).reshape(-1)
     if rho.shape != (target.size, target.size):
         raise ValueError("state and target dimensions do not match")
-    val = (target.conj() @ rho @ target).real
-    return float(val)
+    return clip_unit((target.conj() @ rho @ target).real, "fidelity")
 
 
 def top_eigenstate(

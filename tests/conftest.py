@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entconc import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS
+
+# Property tests draw the same examples on every run (derandomize), are not
+# timed per example (deadline), and stay within a bounded example count.
+settings.register_profile("entconc", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("entconc")
 
 
 def random_pure_state(rng, dim):

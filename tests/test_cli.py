@@ -170,6 +170,19 @@ class TestSweep:
         ])
         assert code == 2
 
+    def test_invalid_pair_state_exits_3(self, tmp_path, monkeypatch, capsys):
+        import entconc.cli as cli
+
+        prepare = cli.prepare_state
+        monkeypatch.setattr(cli, "prepare_state", lambda params: 2.0 * prepare(params))
+        code = main([
+            "sweep", "--protocols", "nec", "--axis", "pd",
+            "--range", "0.05:0.05:1", "--a", "0.1",
+            "--out", str(tmp_path / "sweep.csv"),
+        ])
+        assert code == 3
+        assert "trace" in capsys.readouterr().err
+
 
 class TestCompile:
     def test_nec_schedule_document(self, tmp_path):

@@ -2,22 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import random_bipartite, schmidt_pair_state
 
 from entconc import (
     DiagonalPOVM,
+    NoiseParams,
     apply_correction,
+    catalyst_from_schmidt,
     compile_schedule,
+    depolarize,
     embed_povm,
     execute_filter,
     execute_round,
     js_povm,
+    prepare_state,
     run_schedule,
     schedule_to_document,
     synthesize,
 )
 from entconc.locc import ScheduleRound
+from entconc.protocols import (
+    _pairs_to_parties,
+    cec_planning_states,
+    nec_planning_states,
+)
 
 
 def swap2():
@@ -40,6 +50,101 @@ def aux_state(vec_data, ka, d_b=None):
     big = np.zeros(d * ka * d_b, dtype=complex)
     big.reshape(d, ka, d_b)[:, 0, :] = vec_data.reshape(d, d_b)
     return np.outer(big, big.conj())
+
+
+def dilated_run(schedule, state, p_g):
+    """Reference ``run_schedule`` through the Naimark dilation of each round.
+
+    Attaches the auxiliary register in zeros, runs ``execute_round``,
+    applies each branch's correction and sums the weighted branches.
+    """
+    d = schedule.dim
+    w_in = np.kron(schedule.left_basis, schedule.right_basis).conj().T
+    rho = w_in @ state @ w_in.conj().T
+    for rnd in schedule.rounds:
+        ka = 2**rnd.embedding.aux_count
+        aux = np.zeros((ka, ka))
+        aux[0, 0] = 1.0
+        big = np.einsum("abcd,xy->axbcyd", rho.reshape(d, d, d, d), aux)
+        acc = np.zeros((d * d, d * d), dtype=complex)
+        for w, branch, perm in execute_round(big.reshape(d * ka * d, -1), rnd, p_g):
+            small = branch.reshape(d, ka, d, d, ka, d)[:, 0, :, :, 0, :]
+            acc += w * apply_correction(small.reshape(d * d, d * d), perm)
+        rho = acc
+    w, rho = execute_filter(rho, schedule.final_filter)
+    v_out = np.kron(schedule.target_left, schedule.target_right)
+    return w, v_out @ rho @ v_out.conj().T
+
+
+def padded_bell(d):
+    """Bell target on the leading qubit of each d-level register."""
+    mat = np.zeros((d, d), dtype=complex)
+    mat[0, 0] = mat[d // 2, d // 2] = np.sqrt(0.5)
+    return mat.ravel()
+
+
+def schedule_and_state(kind, g, rng):
+    """A compiled schedule and a mixed physical state to execute it on."""
+    if kind in ("nec", "cec"):
+        rho = prepare_state(NoiseParams(a=0.3 * rng.random(), p_d=0.1 * rng.random()))
+        if kind == "nec":
+            planning = nec_planning_states(rho, rho)
+            pairs = [rho, rho]
+        else:
+            cat = catalyst_from_schmidt(0.5 + 0.5 * rng.random())
+            planning = cec_planning_states(rho, rho, cat.state)
+            pairs = [rho, rho, np.outer(cat.state, cat.state.conj())]
+        state = pairs[0]
+        for pair in pairs[1:]:
+            state = np.kron(state, pair)
+        return compile_schedule(*planning, g), _pairs_to_parties(state, len(pairs))
+    d = int(kind.removeprefix("random"))
+    psi = random_bipartite(rng, d, d)
+    noise = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    noise = noise @ noise.conj().T
+    state = 0.9 * np.outer(psi, psi.conj()) + 0.1 * noise / np.trace(noise)
+    return compile_schedule(psi, padded_bell(d), g), state
+
+
+class TestKrausExecution:
+    @given(
+        kind=st.sampled_from(["nec", "cec", "random4", "random8"]),
+        g=st.integers(1, 3),
+        p_g=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="cec", g=1, p_g=0.0, seed=0)
+    @example(kind="cec", g=2, p_g=1.0, seed=1)
+    @example(kind="random8", g=3, p_g=1.0, seed=2)
+    def test_matches_dilated_reference(self, kind, g, p_g, seed):
+        sched, state = schedule_and_state(kind, g, np.random.default_rng(seed))
+        w, out = run_schedule(sched, state, p_g)
+        w_ref, out_ref = dilated_run(sched, state, p_g)
+        assert abs(w - w_ref) <= 1e-12
+        assert np.max(np.abs(out - out_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("p_g", [0.07, 1.0])
+    def test_composed_noise_equals_sequential_channels(self, rng, p_g):
+        a = rng.random(4)
+        rnd = diag_round(DiagonalPOVM(
+            elements=[a, 1.0 - a], corrections=[np.arange(4), np.arange(4)],
+        ))
+        state = aux_state(random_bipartite(rng, 4, 4), 2)
+        noisy = state
+        for blk in rnd.synthesis.blocks:
+            for _ in range(blk.mcx_count):
+                for q in blk.touched_qubits:
+                    noisy = depolarize(noisy, p_g, qubit=q)
+        u = rnd.embedding.assemble()
+        t = np.einsum("ij,jakb,lk->ialb", u, noisy.reshape(8, 4, 8, 4), u.conj())
+        view = t.reshape(4, 2, 4, 4, 2, 4)
+        branches = execute_round(state, rnd, p_g)
+        assert len(branches) == 2
+        for m, (w, post, _) in enumerate(branches):
+            block = view[:, m, :, :, m, :]
+            assert abs(w - np.einsum("abab->", block).real) < 1e-12
+            got = post.reshape(4, 2, 4, 4, 2, 4)[:, 0, :, :, 0, :]
+            assert np.max(np.abs(w * got - block)) < 1e-12
 
 
 class TestJsPovm:
@@ -353,6 +458,19 @@ class TestExecuteFilter:
         rho = np.eye(4) / 4
         with pytest.raises(ValueError):
             execute_filter(rho, np.array([1.2, 0.5]))
+
+    def test_weight_rounding_past_one_is_clipped(self):
+        w, _ = execute_filter(np.eye(4) / 4 * (1.0 + 5e-13), np.ones(2))
+        assert w == 1.0
+        with pytest.raises(ArithmeticError):
+            execute_filter(np.eye(4) / 2, np.ones(2))
+
+    def test_random_sources_succeed_with_weight_at_most_one(self, rng):
+        for _ in range(12):
+            sched = compile_schedule(random_bipartite(rng, 8, 8), padded_bell(8))
+            w, _ = run_schedule(sched)
+            assert 0.0 <= w <= 1.0
+            assert 0.0 <= sched.success_probability <= 1.0
 
 
 class TestCompileSchedule:

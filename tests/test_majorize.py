@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_schmidt_vector
+from conftest import random_pure_state, random_schmidt_vector
 
 from entconc import (
     TTransform,
@@ -12,6 +12,7 @@ from entconc import (
     fold_ttransforms,
     group_ttransforms,
     is_majorized,
+    schmidt_decompose,
     t_transform_decompose,
     vidal_intermediate,
     vidal_probability,
@@ -82,6 +83,21 @@ class TestVidalProbability:
             beta = random_schmidt_vector(rng, d)
             p = vidal_probability(alpha, beta)
             assert 0.0 <= p <= 1.0 + 1e-12
+
+    def test_rounding_past_one_is_clipped(self, rng):
+        # the Schmidt sum of a random 8x8 source rounds apart from the
+        # target's, and the l = 0 tail ratio can land an ulp above 1
+        beta = np.zeros(8)
+        beta[:2] = 0.5
+        for _ in range(200):
+            psi = random_pure_state(rng, 64)
+            alpha = schmidt_decompose(psi, 8, 8).coefficients
+            assert 0.0 <= vidal_probability(alpha, beta) <= 1.0
+        assert vidal_probability([0.5 + 1e-13] * 2, [0.5, 0.5]) == 1.0
+
+    def test_excess_beyond_rounding_raises(self):
+        with pytest.raises(ArithmeticError):
+            vidal_probability([0.5 + 1e-10] * 2, [0.5, 0.5])
 
 
 class TestVidalIntermediate:

@@ -214,6 +214,12 @@ class TestCleanPairSacrifice:
             assert np.max(np.abs(cec.output_state - nec.output_state)) < 1e-12
             assert cec.catalyst_fidelity_after == pytest.approx(1.0, abs=1e-12)
 
+    def test_catalyst_fidelity_stays_in_unit_interval(self):
+        # rounding once carried this fidelity to 1.0000000000000002
+        rho = prepare_state(NoiseParams(a=0.0, p_d=0.02))
+        cec = run_cec(rho, rho, catalyst_from_schmidt(1.0))
+        assert 0.0 <= cec.catalyst_fidelity_after <= 1.0
+
     def test_infidelity_equals_pd_and_is_ulp_stable(self):
         for p_d in self.PDS:
             base = self._infidelities(p_d)
@@ -254,6 +260,42 @@ class TestReuseCatalyst:
         nec = run_nec(rho, rho)
         with pytest.raises(ValueError):
             reuse_catalyst(nec, rho, rho)
+
+
+class TestInputValidation:
+    RHO = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+
+    def test_unnormalized_pair_raises(self):
+        with pytest.raises(ValueError, match="trace"):
+            run_nec(2.0 * self.RHO, self.RHO)
+
+    def test_non_positive_pair_raises(self):
+        bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            run_cec(self.RHO, bad, catalyst_from_schmidt(0.75))
+
+    def test_density_matrix_catalyst_is_checked(self):
+        with pytest.raises(ValueError, match="trace"):
+            run_cec(self.RHO, self.RHO, 2.0 * pure_pair(0.75))
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="4x4"):
+            run_distillation(np.eye(8) / 8, self.RHO, dejmps_plan())
+
+    def test_reuse_checks_its_pairs(self):
+        first = run_cec(self.RHO, self.RHO, catalyst_from_schmidt(0.75))
+        with pytest.raises(ValueError, match="Hermitian"):
+            reuse_catalyst(first, self.RHO + 0.1j * np.eye(4), self.RHO)
+
+    def test_search_validates_once(self, monkeypatch):
+        import entconc.protocols as protocols
+
+        calls = []
+        check = protocols.assert_density_matrix
+        monkeypatch.setattr(protocols, "assert_density_matrix",
+                            lambda rho: calls.append(1) or check(rho))
+        optimize_distillation(self.RHO, self.RHO)
+        assert len(calls) == 2
 
 
 class TestRunDistillation:

@@ -189,6 +189,14 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(np.eye(4) / 4, np.array([1.0, 0.0]))
 
+    def test_rounding_past_one_is_clipped(self):
+        rho = np.outer(PHI_PLUS, PHI_PLUS.conj()) * (1.0 + 5e-13)
+        assert fidelity(rho, PHI_PLUS) == 1.0
+
+    def test_excess_beyond_rounding_raises(self):
+        with pytest.raises(ArithmeticError):
+            fidelity(2.0 * np.outer(PHI_PLUS, PHI_PLUS.conj()), PHI_PLUS)
+
 
 class TestTopEigenstate:
     def test_diagonal(self):
