@@ -133,20 +133,23 @@ def _noise_params(args, axis_field: str | None = None, value: float | None = Non
         raise UsageError(str(exc)) from exc
 
 
-def _point_result(protocol: str, params: NoiseParams, g: int, recompile: bool):
+def _point_results(protocols, params: NoiseParams, g: int, recompile: bool) -> dict:
+    """Results of the selected protocols at one sweep point, planned once."""
     rho = prepare_state(params)
-    if protocol == "nec":
-        return run_nec(rho, rho, g, params.p_g)
-    if protocol in ("cec", "catalyst-reuse"):
+    out = {}
+    if "nec" in protocols:
+        out["nec"] = run_nec(rho, rho, g, params.p_g)
+    if "cec" in protocols or "catalyst-reuse" in protocols:
         catalyst = find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
-        first = run_cec(rho, rho, catalyst, g, params.p_g)
-        if protocol == "cec":
-            return first
-        return reuse_catalyst(
-            first, rho, rho, g, params.p_g, recompile_from_state=recompile
-        )
-    plan = optimize_distillation(rho, rho, params.p_g)
-    return run_distillation(rho, rho, plan, params.p_g)
+        out["cec"] = run_cec(rho, rho, catalyst, g, params.p_g)
+        if "catalyst-reuse" in protocols:
+            out["catalyst-reuse"] = reuse_catalyst(
+                out["cec"], rho, rho, g, params.p_g, recompile_from_state=recompile
+            )
+    if "distillation" in protocols:
+        plan = optimize_distillation(rho, rho, params.p_g)
+        out["distillation"] = run_distillation(rho, rho, plan, params.p_g)
+    return out
 
 
 def _fmt(value) -> str:
@@ -160,26 +163,16 @@ def _fmt(value) -> str:
 
 
 def _sweep_rows(protocols, values, axis_field, args):
+    """CSV rows, protocol-major, of the protocols at each swept value."""
+    points = [_noise_params(args, axis_field, value) for value in values]
+    results = [_point_results(protocols, p, args.g, args.recompile_on_reuse) for p in points]
     rows = []
     for protocol in protocols:
-        for value in values:
-            params = _noise_params(args, axis_field, value)
-            res = _point_result(protocol, params, args.g, args.recompile_on_reuse)
-            rows.append(
-                {
-                    "protocol": protocol,
-                    "a": params.a,
-                    "p_d": params.p_d,
-                    "p_g": params.p_g,
-                    "g": args.g,
-                    "success_probability": res.success_probability,
-                    "output_fidelity": res.output_fidelity,
-                    "infidelity": res.infidelity,
-                    "catalyst_fidelity_before": res.catalyst_fidelity_before,
-                    "catalyst_fidelity_after": res.catalyst_fidelity_after,
-                    "mcx_total": res.mcx_total,
-                }
-            )
+        for params, res in zip(points, (r[protocol] for r in results)):
+            row = {"protocol": protocol, "a": params.a, "p_d": params.p_d,
+                   "p_g": params.p_g, "g": args.g}
+            # the remaining columns are ProtocolResult fields of the same name
+            rows.append(row | {c: getattr(res, c) for c in COLUMNS[5:]})
     return rows
 
 

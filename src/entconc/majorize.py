@@ -35,12 +35,13 @@ class TTransform(NamedTuple):
 
 
 def _as_schmidt(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.min() < -SUM_TOL:
+    """Schmidt vectors along the last axis, each checked; leading axes batch."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if (v.min(axis=-1) < -SUM_TOL).any():
         raise ValueError("Schmidt vector has a negative entry")
-    if abs(v.sum() - 1.0) > 1e-9:
+    if (abs(v.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("Schmidt vector does not sum to 1")
-    if np.any(v[:-1] < v[1:] - 1e-9):
+    if (v[..., :-1] < v[..., 1:] - 1e-9).any():
         raise ValueError("Schmidt vector is not sorted descending")
     return v
 
@@ -69,27 +70,33 @@ def is_majorized(alpha, beta, tol: float = 1e-12) -> bool:
 
 
 def _tails(v: np.ndarray) -> np.ndarray:
-    """Suffix sums E_l = sum_{i >= l}, returned for l = 0..d-1."""
-    return np.cumsum(v[::-1])[::-1]
+    """Suffix sums E_l = sum_{i >= l} along the last axis, for l = 0..d-1."""
+    return np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
 
 
-def vidal_probability(alpha, beta) -> float:
+def vidal_probability(alpha, beta):
     """Maximal conversion probability min_l E_l(alpha)/E_l(beta).
 
     E_l is the suffix sum from position l; positions with E_l(beta) = 0 are
     skipped. Returns a value in (0, 1], equal to 1 exactly when alpha is
     majorized by beta; the l = 0 ratio of two sums that round apart is
     clipped by ``clip_unit``. A target of larger Schmidt rank than the
-    source is unreachable and yields 0.0.
+    source is unreachable and yields 0.0. Leading axes batch and broadcast:
+    each entry equals, bit for bit, the call on its pair of 1-D vectors
+    alone, which gives a float.
     """
-    a, b = _pad_pair(alpha, beta)
-    rank_a = int(np.sum(a > 1e-14))
-    rank_b = int(np.sum(b > 1e-14))
-    if rank_b > rank_a:
-        return 0.0
+    a, b = _as_schmidt(alpha), _as_schmidt(beta)
+    unreachable = (b > 1e-14).sum(axis=-1) > (a > 1e-14).sum(axis=-1)
     ta, tb = _tails(a), _tails(b)
-    mask = tb > 1e-14
-    return clip_unit(np.min(ta[mask] / tb[mask]), "conversion probability")
+    # suffix sums past a vector's end are 0: past alpha's the ratio is 0,
+    # past beta's the position imposes nothing
+    d = tb.shape[-1]
+    if ta.shape[-1] < d:
+        ta = np.concatenate([ta, np.zeros(ta.shape[:-1] + (d - ta.shape[-1],))], axis=-1)
+    ta = ta[..., :d]
+    ratio = np.full(np.broadcast_shapes(ta.shape, tb.shape), np.inf)
+    np.divide(ta, tb, out=ratio, where=tb > 1e-14)
+    return clip_unit(np.where(unreachable, 0.0, ratio.min(axis=-1)), "conversion probability")
 
 
 def vidal_intermediate(alpha, beta) -> np.ndarray:

@@ -87,16 +87,20 @@ def assert_density_matrix(rho: np.ndarray, atol: float = STRUCTURAL_TOL) -> None
         raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < -{atol}")
 
 
-def clip_unit(value: float, what: str) -> float:
-    """Clip a probability or fidelity that rounding carried past [0, 1].
+def clip_unit(value, what: str):
+    """Clip probabilities or fidelities that rounding carried past [0, 1].
 
     An excess of at most UNIT_TOL is rounding and is clipped; a larger one
     (or NaN) means the inputs were invalid, and raises ArithmeticError.
+    Applies elementwise to an array; a scalar gives a float.
     """
-    value = float(value)
-    if not -UNIT_TOL <= value <= 1.0 + UNIT_TOL:
-        raise ArithmeticError(f"{what} {value!r} lies outside [0, 1] beyond {UNIT_TOL}")
-    return min(max(value, 0.0), 1.0)
+    arr = np.asarray(value, dtype=float)
+    inside = (arr >= -UNIT_TOL) & (arr <= 1.0 + UNIT_TOL)
+    if not inside.all():
+        bad = float(arr[~inside].flat[0])
+        raise ArithmeticError(f"{what} {bad!r} lies outside [0, 1] beyond {UNIT_TOL}")
+    arr = np.clip(arr, 0.0, 1.0)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def assert_pure_state(psi: np.ndarray) -> None:

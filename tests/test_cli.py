@@ -65,6 +65,25 @@ class TestSweep:
         assert all(b >= a - 1e-9 for a, b in zip(infs, infs[1:]))
         assert all(inf < 2 * pd + 1e-9 for pd, inf in zip(pds, infs) if pd > 0)
 
+    def test_each_point_planned_once(self, tmp_path, monkeypatch):
+        import entconc.cli as cli
+
+        calls = {"find_catalyst": 0, "prepare_state": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        argv = ["sweep", "--axis", "pd", "--range", "0:0.02:0.01", "--a", "0.1"]
+        both, alone = tmp_path / "both.csv", tmp_path / "cec.csv"
+        assert main(argv + ["--protocols", "cec,catalyst-reuse", "--out", str(both)]) == 0
+        assert calls == {"find_catalyst": 3, "prepare_state": 3}
+        assert main(argv + ["--protocols", "cec", "--out", str(alone)]) == 0
+        lines = both.read_text().splitlines()
+        rows = [ln for ln in lines if not ln.startswith("#")][1:]
+        assert [r.split(",")[0] for r in rows] == ["cec"] * 3 + ["catalyst-reuse"] * 3
+        assert "\n".join(lines[:-3]) + "\n" == alone.read_text()
+
     def test_coherent_axis_pure_pipeline(self, tmp_path):
         out = tmp_path / "a.csv"
         code = main([

@@ -99,6 +99,27 @@ class TestVidalProbability:
         with pytest.raises(ArithmeticError):
             vidal_probability([0.5 + 1e-10] * 2, [0.5, 0.5])
 
+    def test_batch_rows_equal_1d_calls(self, rng):
+        beta = np.zeros((3, 8))
+        beta[:, :2] = 0.5
+        alpha = [random_schmidt_vector(rng, 8) for _ in range(60)]
+        alpha += [schmidt_decompose(random_pure_state(rng, 64), 8, 8).coefficients
+                  for _ in range(60)]
+        alpha += [np.pad([1.0 - 1e-15, 1e-15], (0, 6)),  # rank 1 < 2: the 0.0 path
+                  np.pad([0.5 + 1e-13] * 2, (0, 6))]  # sums round apart: clipped
+        alpha = np.array(alpha).reshape(-1, 1, 8)
+        beta = np.concatenate([beta, [random_schmidt_vector(rng, 8)]])
+        batch = vidal_probability(alpha, beta)
+        loop = np.array([[vidal_probability(a[0], b) for b in beta] for a in alpha])
+        assert batch.shape == (alpha.shape[0], beta.shape[0])
+        assert batch.tobytes() == loop.tobytes()
+        assert batch[-2, 0] == 0.0 and batch[-1, 0] == 1.0
+        assert isinstance(vidal_probability(alpha[0, 0], beta[0]), float)
+
+    def test_batch_checks_every_row(self):
+        with pytest.raises(ValueError, match="sum"):
+            vidal_probability([[0.5, 0.5], [0.6, 0.5]], [0.5, 0.5])
+
 
 class TestVidalIntermediate:
     def test_desk_case(self):

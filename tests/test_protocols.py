@@ -1,15 +1,23 @@
 """Unit tests for the concentration protocols and the distillation baseline."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from conftest import bell_diagonal, werner
+from conftest import bell_diagonal, random_pure_state, werner
 
+import entconc.protocols as protocols
+from entconc.protocols import CLIFFORDS
 from entconc import (
     NoiseParams,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PHI_PLUS,
+    PSI_PLUS,
     CatalystSpec,
     DistillationPlan,
     ProtocolResult,
@@ -25,6 +33,7 @@ from entconc import (
     run_cec,
     run_distillation,
     run_nec,
+    schmidt_decompose,
     vidal_probability,
 )
 
@@ -138,6 +147,47 @@ class TestFindCatalyst:
             spec = find_catalyst(diag_state(sigma), diag_state(tau))
             oracle = dense_best(sigma, tau)
             assert abs(spec.achieved_probability - oracle) < 1e-3
+
+    @staticmethod
+    def loop_catalyst(surrogate, target, resolution):
+        """The grid scan as a loop of 1-D vidal_probability calls, keeping
+        the last c1 within 1e-12 of the running best."""
+        sigma = schmidt_decompose(surrogate, 4, 4).coefficients
+        tau = schmidt_decompose(target, 2, 2).coefficients
+        best_c1, best_p = 1.0, -1.0
+        for i in range(int(round(0.5 / resolution)) + 1):
+            c1 = 0.5 + i * resolution
+            cat = np.array([c1, 1.0 - c1])
+            p = vidal_probability(np.sort(np.outer(sigma, cat).ravel())[::-1],
+                                  np.sort(np.outer(tau, cat).ravel())[::-1])
+            if p > best_p - 1e-12:
+                best_p, best_c1 = max(best_p, p), c1
+        return best_c1, best_p
+
+    @given(seed=st.integers(0, 2**32 - 1), resolution=st.sampled_from([1e-3, 2e-3]))
+    @example(seed=-1, resolution=1e-4)
+    @example(seed=0, resolution=1e-4)
+    def test_matches_loop_of_1d_calls(self, seed, resolution):
+        if seed < 0:
+            # deterministically convertible: every c1 ties at 1, so c1 = 1
+            source = np.eye(4).ravel().astype(complex) / 2.0
+        else:
+            source = random_pure_state(np.random.default_rng(seed), 16)
+        c1, prob = self.loop_catalyst(source, PHI_PLUS, resolution)
+        spec = find_catalyst(source, PHI_PLUS, resolution)
+        assert spec.schmidt[0] == min(c1, 1.0)
+        assert spec.achieved_probability == prob
+        if seed < 0:
+            assert c1 == 1.0 and prob == 1.0
+
+    def test_one_probability_call(self, monkeypatch):
+        calls = []
+        score = protocols.vidal_probability
+        monkeypatch.setattr(protocols, "vidal_probability",
+                            lambda a, b: calls.append(1) or score(a, b))
+        rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+        find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
+        assert len(calls) == 1
 
     def test_schmidt_ordering(self):
         spec = catalyst_from_schmidt(0.7)
@@ -327,6 +377,100 @@ class TestRunDistillation:
         plan = DistillationPlan(alice_gates=dejmps_plan().alice_gates, basis="W")
         with pytest.raises(ValueError):
             run_distillation(rho, rho, plan)
+
+    def test_plan_that_never_accepts_raises(self):
+        # phi+ (x) psi+ after the bilateral CNOT always shows unequal Z outcomes
+        plan = DistillationPlan(alice_gates=(np.eye(2), np.eye(2)), basis="Z")
+        phi = np.outer(PHI_PLUS, PHI_PLUS.conj())
+        psi = np.outer(PSI_PLUS, PSI_PLUS.conj())
+        with pytest.raises(ArithmeticError):
+            run_distillation(phi, psi, plan)
+
+
+def on_qubits(ops):
+    """16x16 operator: ops[q] on qubit q of four, identity elsewhere."""
+    return reduce(np.kron, [ops.get(q, np.eye(2)) for q in range(4)])
+
+
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+REF_BASES = {
+    "Z": (np.array([1, 0]), np.array([0, 1])),
+    "X": (np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)),
+    "Y": (np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)),
+}
+
+
+def reference_family(rho_a, rho_b, p_g):
+    """Acceptance and fidelity of every mirrored-Clifford plan, in plan
+    index order, from the four-qubit state: mirrored gates, then per CNOT
+    the depolarizing Kraus sums on its two qubits and the 16x16 CNOT, then
+    the equal-outcome projectors on the second pair."""
+    gates = np.array([
+        on_qubits({0: gi, 1: gi.conj(), 2: gj, 3: gj.conj()})
+        for gi in CLIFFORDS for gj in CLIFFORDS
+    ])
+    rho = gates @ np.kron(rho_a, rho_b) @ gates.conj().transpose(0, 2, 1)
+    for c, t in ((0, 2), (1, 3)):
+        for q in (c, t):
+            kraus = [np.sqrt(1.0 - p_g) * np.eye(16)] + [
+                np.sqrt(p_g / 3) * on_qubits({q: p}) for p in (PAULI_X, PAULI_Z, PAULI_Y)
+            ]
+            rho = sum(k @ rho @ k.conj().T for k in kraus)
+        cnot = on_qubits({c: P0}) + on_qubits({c: P1, t: PAULI_X})
+        rho = cnot @ rho @ cnot.T
+    weights, fids = [], []
+    for basis in ("Z", "X", "Y"):
+        projs = [on_qubits({2: np.outer(v, v.conj()), 3: np.outer(v, v.conj())})
+                 for v in REF_BASES[basis]]
+        acc = sum(p @ rho @ p for p in projs)
+        out = np.trace(acc.reshape(-1, 4, 4, 4, 4), axis1=2, axis2=4)
+        w = np.trace(out, axis1=1, axis2=2).real
+        weights.append(w)
+        fids.append(np.einsum("a,nab,b->n", PHI_PLUS.conj(), out, PHI_PLUS).real / w)
+    return np.stack(weights, axis=1).ravel(), np.stack(fids, axis=1).ravel()
+
+
+def chain_choice(weights, fids):
+    """First plan to beat the incumbent by more than 1e-12, in index order,
+    skipping acceptance below 1e-9."""
+    best, best_fid = None, -1.0
+    for index, (w, f) in enumerate(zip(weights, fids)):
+        if w >= 1e-9 and f > best_fid + 1e-12:
+            best, best_fid = index, f
+    return best
+
+
+class TestDistillationFamily:
+    @given(
+        kind=st.sampled_from(["bell", "full"]),
+        p_g=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="bell", p_g=0.0, seed=0)
+    @example(kind="full", p_g=0.05, seed=1)
+    def test_matches_four_qubit_reference(self, kind, p_g, seed):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(2):
+            if kind == "bell":
+                w = rng.random(4) + 0.01
+                pairs.append(bell_diagonal(w / w.sum()))
+            else:
+                m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                pairs.append(m @ m.conj().T / np.trace(m @ m.conj().T).real)
+        rho_a, rho_b = pairs
+        weights, fids = reference_family(rho_a, rho_b, p_g)
+        stack = np.array(CLIFFORDS)
+        acc = protocols._distill(rho_a, rho_b, stack, stack, p_g).reshape(-1, 4, 4)
+        got_w = np.einsum("naa->n", acc).real
+        got_f = np.einsum("a,nab,b->n", PHI_PLUS.conj(), acc, PHI_PLUS).real / got_w
+        assert np.max(np.abs(got_w - weights)) <= 1e-12
+        assert np.max(np.abs(got_f - fids)) <= 1e-12
+        plan = optimize_distillation(rho_a, rho_b, p_g)
+        assert plan.index == chain_choice(weights, fids)
+        res = run_distillation(rho_a, rho_b, plan, p_g)
+        assert abs(res.success_probability - weights[plan.index]) <= 1e-12
+        assert abs(res.output_fidelity - fids[plan.index]) <= 1e-12
 
 
 class TestOptimizeDistillation:
