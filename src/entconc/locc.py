@@ -27,6 +27,7 @@ from .majorize import (
     birkhoff_decompose,
     fold_ttransforms,
     group_ttransforms,
+    step_terms,
     t_transform_decompose,
     vidal_intermediate,
     vidal_probability,
@@ -76,13 +77,15 @@ class EmbeddingUnitary:
 
     One ``aux_count``-qubit unitary block per data basis state j; the
     assembled matrix sum_j |j><j| (x) U^j acts on A's data register plus
-    the auxiliary register. Off-support blocks are identity.
+    the auxiliary register. ``support`` is the POVM's support mask;
+    off-support blocks are identity.
     """
 
     data_dim: int
     aux_count: int
     n_outcomes: int
     blocks: list
+    support: np.ndarray
 
     def assemble(self) -> np.ndarray:
         n = self.data_dim * 2**self.aux_count
@@ -175,28 +178,30 @@ class ProtocolSchedule:
         return sum(r.synthesis.mcx_total for r in self.rounds)
 
 
-def js_povm(current, dmat, target) -> DiagonalPOVM:
+def js_povm(current, mix, target) -> DiagonalPOVM:
     """Diagonal POVM realizing one round of the conversion.
 
-    Decomposes the doubly-stochastic ``dmat`` (which must map ``target``
-    to ``current``) into permutations and builds one element per distinct
-    permuted image w_m = P_m target, with diagonal q_m * w_m / current on
-    the support of ``current`` and 0 elsewhere. Measuring a Schmidt-diagonal
-    state with vector ``current`` gives outcome m with probability q_m and
-    post-measurement vector w_m; the recorded correction permutation maps
-    w_m back to ``target``.
+    ``mix`` is the round's doubly-stochastic matrix, which must map
+    ``target`` to ``current`` and is decomposed by ``birkhoff_decompose``,
+    or that decomposition itself: a list of (weight, permutation) terms.
+    A one-step round passes its two terms from ``majorize.step_terms``.
+    Builds one element per distinct permuted image w_m = P_m target, with
+    diagonal q_m * w_m / current on the support of ``current`` and 0
+    elsewhere. Measuring a Schmidt-diagonal state with vector ``current``
+    gives outcome m with probability q_m and post-measurement vector w_m;
+    the recorded correction permutation maps w_m back to ``target``.
 
     Permutations whose images coincide within 1e-12 are merged into a
     single element with summed weight.
     """
     current = np.asarray(current, dtype=float).reshape(-1)
     target = np.asarray(target, dtype=float).reshape(-1)
-    dmat = np.asarray(dmat, dtype=float)
-    if not np.allclose(dmat @ target, current, atol=1e-9):
-        raise ValueError("dmat does not map the target vector to current")
+    terms = mix if isinstance(mix, list) else birkhoff_decompose(mix)
+    if not np.allclose(sum(q * target[perm] for q, perm in terms), current, atol=1e-9):
+        raise ValueError("the round does not map the target vector to current")
     support = current > SUPPORT_TOL
     merged: list[list] = []
-    for q, perm in birkhoff_decompose(dmat):
+    for q, perm in terms:
         image = target[perm]
         for entry in merged:
             if np.max(np.abs(entry[1] - image)) < 1e-12:
@@ -269,7 +274,7 @@ def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUni
     stack = np.asarray(blocks)
     if not np.allclose(stack @ stack.conj().swapaxes(1, 2), np.eye(ka), atol=1e-10):
         raise ArithmeticError("embedding block is not unitary")
-    return EmbeddingUnitary(data_dim=d, aux_count=k, n_outcomes=m, blocks=blocks)
+    return EmbeddingUnitary(d, k, m, blocks, povm.support)
 
 
 def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
@@ -278,7 +283,10 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     Each non-identity block U^j becomes a controlled unitary acting on all
     of the party's data qubits plus the auxiliary register and is charged
     2 MCX gates (2(m-1) for the m-outcome cost-model extension); identity
-    blocks cost nothing and are omitted. Single-qubit gates are free.
+    blocks cost nothing and are omitted. Single-qubit gates are free. A
+    block is the identity exactly when it is off the support or the POVM
+    has one outcome: on the support, ``_reflection_from_column`` never
+    returns the identity (the e_0 limit is diag(1, -1, 1, ...)).
     """
     d, k = emb.data_dim, emb.aux_count
     n_data = int(round(math.log2(d)))
@@ -286,11 +294,9 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
         raise ValueError("data dimension must be a power of two for synthesis")
     touched = tuple(range(n_data + k))
     per_block = 2 * (emb.n_outcomes - 1)
-    eye = np.eye(2**k)
+    on = np.flatnonzero(emb.support) if emb.n_outcomes > 1 else []
     return SynthesisReport(blocks=[
-        SynthesisBlock(j, u_j, d, per_block, touched)
-        for j, u_j in enumerate(emb.blocks)
-        if not np.allclose(u_j, eye, atol=1e-12)
+        SynthesisBlock(int(j), emb.blocks[j], d, per_block, touched) for j in on
     ])
 
 
@@ -438,8 +444,10 @@ def compile_schedule(
     a single two-outcome measurement. Steps are grouped g at a time into
     ceil(n_steps / g) measurement rounds. With g=1 every round has exactly
     two outcomes and one auxiliary qubit; larger g trades rounds for
-    multi-outcome measurements. The frames are pinned as described in
-    ``ProtocolSchedule``.
+    multi-outcome measurements. A round of one step takes its two terms in
+    closed form from ``step_terms``; only a round of several steps runs the
+    Birkhoff decomposition of its product matrix. The frames are pinned as
+    described in ``ProtocolSchedule``.
 
     A target on fewer qubits than the source is embedded on the leading
     qubits of each party; the success branch then leaves the remaining
@@ -475,7 +483,8 @@ def compile_schedule(
     r = vidal_probability(alpha, beta)
     gamma = vidal_intermediate(alpha, beta)
     transforms = t_transform_decompose(alpha, gamma)
-    groups = group_ttransforms(fold_ttransforms(transforms), g, d)
+    steps = fold_ttransforms(transforms)
+    groups = group_ttransforms(steps, g, d)
     vectors = [gamma]
     for mat in groups:
         vectors.append(mat @ vectors[-1])
@@ -483,7 +492,9 @@ def compile_schedule(
         raise ArithmeticError("grouped transforms do not reproduce the source")
     rounds = []
     for i in range(len(groups) - 1, -1, -1):
-        povm = js_povm(vectors[i + 1], groups[i], vectors[i])
+        chunk = steps[i * g : (i + 1) * g]
+        mix = step_terms(chunk[0], d) if len(chunk) == 1 else groups[i]
+        povm = js_povm(vectors[i + 1], mix, vectors[i])
         emb = embed_povm(povm, allow_multi=allow_multi)
         rep = synthesize(emb)
         rounds.append(

@@ -207,6 +207,36 @@ def expand_step(step: tuple, d: int) -> np.ndarray:
     return m
 
 
+def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
+    """Birkhoff terms of a step's matrix t I + (1-t) P, in closed form.
+
+    Returns, bit for bit, what birkhoff_decompose(expand_step(step, d))
+    returns, without its matching search. The identity comes first unless
+    1-t exceeds t by more than the search's 1e-15 tie tolerance. Taking the
+    first term's weight off the matrix leaves the second term's entries;
+    the search zeroes those below 1e-15, drops the term when the largest is
+    below 1e-13, and takes its weight as the smallest. The weights are then
+    divided by their sum. Valid for t in [0, 1].
+    """
+    t = step[0].t
+    ident = np.arange(d)
+    swap = ident.copy()
+    for j, k, _ in step:
+        swap[j], swap[k] = k, j
+    if t < (1.0 - t) - 1e-15:
+        # left after the swap: t on swapped pairs, 1 - (1-t) on fixed points
+        first, second = (1.0 - t, swap), ident
+        rest = [t] + ([1.0 - (1.0 - t)] if 2 * len(step) < d else [])
+    else:
+        first, second = (t, ident), swap
+        rest = [1.0 - t]
+    terms = [first]
+    if max(rest) >= 1e-13:
+        terms.append((min(rest), second))
+    total = sum(q for q, _ in terms)
+    return [(q / total, p) for q, p in terms]
+
+
 def group_ttransforms(ts: list, g: int, d: int) -> list[np.ndarray]:
     """Multiply consecutive T-transforms (or steps) in groups of g.
 

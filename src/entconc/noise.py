@@ -16,10 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, apply_channel, top_eigenstate
+from .qmath import top_eigenstate
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
+# s_a s_b of one qubit's row and column indices, shaped for the (a, R, L, b, R)
+# axes of depolarize's view: Z rho Z multiplies each entry by it
+_ZZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, None, :, None]
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) * _INV_SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) * _INV_SQRT2
@@ -106,8 +109,15 @@ def coherent_state(a: float, weights=None) -> np.ndarray:
 def depolarize(rho: np.ndarray, p_d: float, weights=None, qubit: int = 1) -> np.ndarray:
     """Apply the probabilistic Pauli error channel to one qubit.
 
-    Kraus operators are sqrt(1-p_d) I and sqrt(p_d w) P for P in (X, Z, Y)
-    with probabilities ``weights`` (default 1/3 each, ordered (x, z, y)).
+    rho -> (1-p_d) rho + p_d (w_x X rho X + w_z Z rho Z + w_y Y rho Y) on
+    qubit ``qubit`` of an n-qubit register (qubit 0 most significant), with
+    probabilities ``weights`` (default 1/3 each, ordered (x, z, y)). In
+    closed form on the (L, 2, R, L, 2, R) view of rho: Z rho Z multiplies
+    the entry with qubit indices (a, b) by s_a s_b (s = 1, -1), X rho X
+    reverses both qubit axes, and Y rho Y = X (Z rho Z) X. Leading axes of
+    ``rho`` batch. ``qmath.apply_channel`` with the four Kraus operators is
+    the reference. Raises ValueError for invalid weights or ``p_d``, a
+    dimension that is not a power of two, or a qubit outside [0, n).
     """
     if weights is None:
         weights = (1 / 3, 1 / 3, 1 / 3)
@@ -116,13 +126,18 @@ def depolarize(rho: np.ndarray, p_d: float, weights=None, qubit: int = 1) -> np.
         raise ValueError("depolarizing weights must be probabilities summing to 1")
     if not 0.0 <= p_d <= 1.0:
         raise ValueError("p_d must lie in [0, 1]")
-    kraus = [
-        np.sqrt(1.0 - p_d) * PAULI_I,
-        np.sqrt(p_d * wx) * PAULI_X,
-        np.sqrt(p_d * wz) * PAULI_Z,
-        np.sqrt(p_d * wy) * PAULI_Y,
-    ]
-    return apply_channel(rho, kraus, on=[qubit])
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[-1]
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise ValueError(f"state dimension {dim} is not a power of two")
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} is outside a register of {n} qubits")
+    t = rho.reshape(rho.shape[:-2] + (2**qubit, 2, dim >> (qubit + 1)) * 2)
+    keep = (1.0 - p_d) + p_d * wz * _ZZ_SIGNS
+    flip = p_d * (wx + wy * _ZZ_SIGNS)
+    out = keep * t + flip * t[..., ::-1, :, :, ::-1, :]
+    return out.reshape(rho.shape)
 
 
 def prepare_state(params: NoiseParams) -> np.ndarray:

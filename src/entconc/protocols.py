@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .locc import compile_schedule, run_schedule
-from .noise import PHI_PLUS, surrogate
+from .noise import PHI_PLUS, depolarize, surrogate
 from .qmath import (
     PAULI_I,
     PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     assert_density_matrix,
     clip_unit,
     fidelity,
@@ -411,9 +409,7 @@ def _distill(rho_a, rho_b, gates_a, gates_b, p_g: float) -> np.ndarray:
         ops = np.einsum("nab,ncd->nacbd", gates, gates.conj()).reshape(-1, 4, 4)
         out = ops @ rho @ ops.conj().transpose(0, 2, 1)
         if p_g > 0:
-            for side in (lambda p: np.kron(p, PAULI_I), lambda p: np.kron(PAULI_I, p)):
-                paulis = [side(p) for p in (PAULI_X, PAULI_Z, PAULI_Y)]
-                out = (1.0 - p_g) * out + p_g / 3 * sum(p @ out @ p for p in paulis)
+            out = depolarize(depolarize(out, p_g, qubit=0), p_g, qubit=1)
         mirrored.append(out)
     g = np.einsum("kuma,jab,kvmb->jkuv", _ACCEPT.conj(), mirrored[1], _ACCEPT)
     return mirrored[0][:, None, None] * g[None]

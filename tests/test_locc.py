@@ -1,5 +1,7 @@
 """Unit tests for POVM construction, dilation, synthesis, and execution."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,11 +24,15 @@ from entconc import (
     schedule_to_document,
     synthesize,
 )
+from entconc import majorize, qmath
 from entconc.locc import ScheduleRound
+from entconc.majorize import TTransform, expand_step, step_terms
 from entconc.protocols import (
     _pairs_to_parties,
     cec_planning_states,
     nec_planning_states,
+    run_cec,
+    run_nec,
 )
 
 
@@ -191,6 +197,23 @@ class TestJsPovm:
         total = sum(np.asarray(e) for e in povm.elements)
         assert np.allclose(total, 1.0, atol=1e-10)
 
+    def test_terms_give_the_matrix_povm(self):
+        step = (TTransform(0, 2, 0.7), TTransform(1, 3, 0.7))
+        target = np.array([0.4, 0.3, 0.2, 0.1])
+        mat = expand_step(step, 4)
+        from_terms = js_povm(mat @ target, step_terms(step, 4), target)
+        from_matrix = js_povm(mat @ target, mat, target)
+        for got, want in zip(
+            from_terms.elements + from_terms.corrections,
+            from_matrix.elements + from_matrix.corrections,
+        ):
+            assert np.array_equal(got, want)
+
+    def test_terms_must_map_the_target(self):
+        terms = step_terms((TTransform(0, 1, 0.7),), 2)
+        with pytest.raises(ValueError):
+            js_povm(np.array([0.6, 0.4]), terms, np.array([0.5, 0.5]))
+
 
 class TestDiagonalPovmValidation:
     def test_mismatched_corrections(self):
@@ -350,6 +373,53 @@ class TestSynthesize:
         rep = synthesize(embed_povm(povm, allow_multi=True))
         for blk in rep.blocks:
             assert blk.mcx_count == 2 * (4 - 1)
+
+    def test_only_support_blocks_are_charged(self):
+        # position 2 is off the support; position 0 is certain (block diag(1, -1))
+        povm = DiagonalPOVM(
+            elements=[np.array([1.0, 0.3, 0.0, 0.5]), np.array([0.0, 0.7, 0.0, 0.5])],
+            corrections=[np.arange(4), np.arange(4)],
+        )
+        rep = synthesize(embed_povm(povm))
+        assert [b.index for b in rep.blocks] == [0, 1, 3]
+        assert np.array_equal(rep.blocks[0].block, np.diag([1.0, -1.0]))
+
+
+class FallbackCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def fallbacks_raise(monkeypatch):
+    """Make every entconc binding of the generic fallbacks raise."""
+    for fn in (qmath.apply_channel, majorize.birkhoff_decompose):
+
+        def refuse(*args, _name=fn.__name__, **kwargs):
+            raise FallbackCalled(_name)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "entconc" or name.startswith("entconc."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, refuse)
+
+
+class TestFastPaths:
+    """Execution and one-step rounds use the closed forms, not the fallbacks."""
+
+    def test_runs_at_g1_with_gate_noise_skip_fallbacks(self, fallbacks_raise):
+        rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+        nec = run_nec(rho, rho, g=1, p_g=0.01)
+        cec = run_cec(rho, rho, catalyst_from_schmidt(0.8), g=1, p_g=0.01)
+        for res in (nec, cec):
+            assert 0.0 < res.success_probability <= 1.0
+            assert 0.0 < res.output_fidelity <= 1.0
+
+    def test_grouped_rounds_reach_birkhoff(self, fallbacks_raise):
+        rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+        planning = cec_planning_states(rho, rho, catalyst_from_schmidt(0.8).state)
+        with pytest.raises(FallbackCalled, match="birkhoff_decompose"):
+            compile_schedule(*planning, 2)
 
 
 class TestExecuteRound:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_pure_state, random_schmidt_vector
 
@@ -13,11 +14,12 @@ from entconc import (
     group_ttransforms,
     is_majorized,
     schmidt_decompose,
+    step_terms,
     t_transform_decompose,
     vidal_intermediate,
     vidal_probability,
 )
-from entconc.majorize import expand_ttransform, permutation_matrix
+from entconc.majorize import expand_step, expand_ttransform, permutation_matrix
 
 
 def random_majorized_pair(rng, d):
@@ -291,6 +293,49 @@ class TestFoldTTransforms:
             for mat in group_ttransforms(steps, g, d):
                 prod = mat @ prod
             assert np.allclose(prod, full, atol=1e-12)
+
+
+# t near the places where the Birkhoff search changes course: the tie at 0.5
+# (1e-15 tolerance) and a second term below the 1e-13 cutoff near 1 and 0
+EDGE_T = st.sampled_from([
+    0.5, 0.5 - 2**-53, 0.5 + 2**-53, 0.5 - 5e-16, 0.5 + 5e-16, 0.5 - 1e-15,
+    0.5 + 1e-15, 0.5 - 2e-15, 1.0, 1.0 - 2**-53, 1.0 - 1e-15, 1.0 - 5e-14,
+    1.0 - 1e-13, 1.0 - 2e-13, 0.0, 1e-16, 9.99e-16, 5e-14, 1e-13, 2e-13,
+])
+
+
+class TestStepTerms:
+    @settings(max_examples=300)
+    @given(
+        d=st.integers(2, 8),
+        pair_frac=st.floats(0.0, 1.0),
+        t=st.one_of(EDGE_T, st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=4, pair_frac=1.0, t=0.5, seed=0)
+    @example(d=5, pair_frac=1.0, t=0.5 - 5e-16, seed=1)
+    @example(d=3, pair_frac=0.0, t=0.5 + 1e-15, seed=2)
+    @example(d=8, pair_frac=1.0, t=1.0 - 5e-14, seed=3)
+    @example(d=7, pair_frac=0.5, t=1e-16, seed=4)
+    def test_equals_birkhoff_of_step_matrix(self, d, pair_frac, t, seed):
+        order = np.random.default_rng(seed).permutation(d)
+        n_pairs = 1 + int(pair_frac * (d // 2 - 1))
+        step = tuple(
+            TTransform(int(min(j, k)), int(max(j, k)), t)
+            for j, k in order[: 2 * n_pairs].reshape(-1, 2)
+        )
+        got = step_terms(step, d)
+        want = birkhoff_decompose(expand_step(step, d))
+        assert len(got) == len(want)
+        for (q_got, p_got), (q_want, p_want) in zip(got, want):
+            assert q_got == q_want
+            assert p_got.dtype == p_want.dtype and np.array_equal(p_got, p_want)
+
+    def test_two_terms_of_a_two_pair_step(self):
+        step = (TTransform(0, 2, 0.7), TTransform(1, 3, 0.7))
+        (q0, p0), (q1, p1) = step_terms(step, 5)
+        assert (q0, q1) == (0.7 / (0.7 + (1.0 - 0.7)), (1.0 - 0.7) / (0.7 + (1.0 - 0.7)))
+        assert list(p0) == [0, 1, 2, 3, 4] and list(p1) == [2, 3, 0, 1, 4]
 
 
 class TestBirkhoffDecompose:

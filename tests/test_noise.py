@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entconc import (
     BELL,
     NoiseParams,
+    apply_channel,
     coherent_state,
     depolarize,
     fidelity,
@@ -13,6 +15,13 @@ from entconc import (
     surrogate,
 )
 from entconc.noise import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS
+from entconc.qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+
+
+def random_density(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestBellBasis:
@@ -96,6 +105,39 @@ class TestDepolarize:
         rho = np.eye(4) / 4
         with pytest.raises(ValueError):
             depolarize(rho, 0.1, weights=(0.9, 0.9, -0.8))
+
+    @pytest.mark.parametrize("qubit", [-1, 2, 5])
+    def test_rejects_qubit_outside_register(self, qubit):
+        with pytest.raises(ValueError, match="outside"):
+            depolarize(np.eye(4) / 4, 0.1, qubit=qubit)
+
+    @pytest.mark.parametrize("dim", [3, 6, 12])
+    def test_rejects_non_power_of_two_dimension(self, dim):
+        with pytest.raises(ValueError, match="power of two"):
+            depolarize(np.eye(dim) / dim, 0.1, qubit=0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @settings(max_examples=10)
+    @given(p=st.floats(0.0, 1.0), equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(p=1.0, equal=False, seed=0)
+    @example(p=0.0, equal=True, seed=1)
+    def test_matches_kraus_reference_on_every_qubit(self, n, p, equal, seed):
+        rng = np.random.default_rng(seed)
+        w = (1 / 3, 1 / 3, 1 / 3) if equal else tuple(rng.dirichlet(np.ones(3)))
+        kraus = [np.sqrt(1.0 - p) * PAULI_I] + [
+            np.sqrt(p * wi) * pauli for wi, pauli in zip(w, (PAULI_X, PAULI_Z, PAULI_Y))
+        ]
+        rho = random_density(rng, 2**n)
+        for qubit in range(n):
+            ref = apply_channel(rho, kraus, on=qubit)
+            assert np.max(np.abs(depolarize(rho, p, w, qubit) - ref)) <= 1e-14
+
+    def test_leading_axes_batch(self, rng):
+        stack = np.array([random_density(rng, 8) for _ in range(5)]).reshape(5, 1, 8, 8)
+        out = depolarize(stack, 0.2, (0.5, 0.3, 0.2), qubit=1)
+        assert out.shape == stack.shape
+        for i in range(5):
+            assert np.array_equal(out[i, 0], depolarize(stack[i, 0], 0.2, (0.5, 0.3, 0.2), qubit=1))
 
 
 class TestNoiseParams:
