@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -423,7 +424,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="entconc",
         description="Entanglement concentration benchmarks on noisy pairs.",

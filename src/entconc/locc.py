@@ -75,7 +75,8 @@ class DiagonalPOVM:
 class EmbeddingUnitary:
     """Block-diagonal dilation of a diagonal POVM.
 
-    One ``aux_count``-qubit unitary block per data basis state j; the
+    ``blocks`` is a (data_dim, ka, ka) array, ka = 2**aux_count: block
+    U^j acts on the auxiliary register for data basis state j, and the
     assembled matrix sum_j |j><j| (x) U^j acts on A's data register plus
     the auxiliary register. ``support`` is the POVM's support mask;
     off-support blocks are identity.
@@ -84,7 +85,7 @@ class EmbeddingUnitary:
     data_dim: int
     aux_count: int
     n_outcomes: int
-    blocks: list
+    blocks: np.ndarray
     support: np.ndarray
 
     def assemble(self) -> np.ndarray:
@@ -222,25 +223,6 @@ def js_povm(current, mix, target) -> DiagonalPOVM:
     return DiagonalPOVM(elements=elements, corrections=corrections)
 
 
-def _reflection_from_column(col: np.ndarray) -> np.ndarray:
-    """Real unitary whose first column is ``col`` (nonnegative, unit norm).
-
-    The reflection I - 2vv^T/|v|^2 with v = e_0 - col; for col = e_0 the
-    limiting matrix diag(1, -1, 1, ...) is used. For two dimensions this
-    reproduces sqrt(a_0) Z + sqrt(a_1) X exactly.
-    """
-    ka = col.size
-    v = -col.copy()
-    v[0] += 1.0
-    norm2 = float(v @ v)
-    if norm2 < 1e-28:
-        u = np.eye(ka)
-        if ka > 1:
-            u[1, 1] = -1.0
-        return u
-    return np.eye(ka) - 2.0 * np.outer(v, v) / norm2
-
-
 def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUnitary:
     """Dilate a diagonal POVM into a block-diagonal embedding unitary.
 
@@ -249,9 +231,14 @@ def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUni
     statistics and post-measurement states exactly. The auxiliary register
     has ceil(log2 m) qubits for m elements.
 
-    The two-element case uses sqrt(a_0^j) Z + sqrt(a_1^j) X per block. More
-    than two elements is a cost-model extension (unitary completion of the
-    amplitude column) and must be opted into with ``allow_multi``.
+    ``blocks`` is a (d, ka, ka) array, ka = 2**aux_count, built in one
+    pass. On the support, block j is the real reflection I - 2vv^T/|v|^2
+    with v = e_0 - col_j, whose first column is the unit amplitude column
+    col_j = (sqrt(A_m[j]))_m; where col_j = e_0 it is the limit
+    diag(1, -1, 1, ...). Off the support it is I. For two elements this is
+    sqrt(a_0^j) Z + sqrt(a_1^j) X. More than two elements is a cost-model
+    extension (unitary completion of the amplitude column) and must be
+    opted into with ``allow_multi``.
     """
     m = len(povm.elements)
     if m > 2 and not allow_multi:
@@ -259,22 +246,26 @@ def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUni
             "embedding supports two elements; pass allow_multi=True for the "
             "multi-element cost model"
         )
-    diags = [np.asarray(el, dtype=float) for el in povm.elements]
-    d = diags[0].size
+    els = np.asarray(povm.elements, dtype=float)
+    on = povm.support
+    d = els.shape[1]
     k = max(1, math.ceil(math.log2(m))) if m > 1 else 0
     ka = 2**k
-    blocks = []
-    for j, on in enumerate(povm.support):
-        if not on:
-            blocks.append(np.eye(ka))
-            continue
-        col = np.zeros(ka)
-        col[:m] = np.sqrt([el[j] for el in diags])
-        blocks.append(_reflection_from_column(col / np.linalg.norm(col)))
-    stack = np.asarray(blocks)
-    if not np.allclose(stack @ stack.conj().swapaxes(1, 2), np.eye(ka), atol=1e-10):
+    col = np.zeros((on.sum(), ka))
+    col[:, :m] = np.sqrt(els[:, on].T)
+    v = -(col / np.sqrt(np.vecdot(col, col))[:, None])
+    v[:, 0] += 1.0
+    norm2 = np.vecdot(v, v)
+    limit = norm2 < 1e-28
+    refl = np.eye(ka) - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(
+        limit, 1.0, norm2
+    )[:, None, None]
+    refl[limit] = np.diag(np.where(np.arange(ka) == 1, -1.0, 1.0))
+    blocks = np.tile(np.eye(ka), (d, 1, 1))
+    blocks[on] = refl
+    if not np.allclose(blocks @ blocks.swapaxes(1, 2), np.eye(ka), atol=1e-10):
         raise ArithmeticError("embedding block is not unitary")
-    return EmbeddingUnitary(d, k, m, blocks, povm.support)
+    return EmbeddingUnitary(d, k, m, blocks, on)
 
 
 def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
@@ -285,8 +276,8 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     2 MCX gates (2(m-1) for the m-outcome cost-model extension); identity
     blocks cost nothing and are omitted. Single-qubit gates are free. A
     block is the identity exactly when it is off the support or the POVM
-    has one outcome: on the support, ``_reflection_from_column`` never
-    returns the identity (the e_0 limit is diag(1, -1, 1, ...)).
+    has one outcome: on the support, ``embed_povm`` never builds the
+    identity (the e_0 limit is diag(1, -1, 1, ...)).
     """
     d, k = emb.data_dim, emb.aux_count
     n_data = int(round(math.log2(d)))
@@ -547,7 +538,7 @@ def run_schedule(
         rho, probs = _gate_noise(rho, rnd, p_g, n_data)
         aux = reduce(np.kron, ([1.0 - 2.0 * p / 3.0, 2.0 * p / 3.0]
                                for p in probs[n_data:]), np.ones(1))
-        u = np.asarray(rnd.embedding.blocks)
+        u = rnd.embedding.blocks
         kraus = np.einsum("jmx,x,kmx->mjk", u, aux, u.conj())
         rho4 = rho.reshape(d, d, d, d)
         acc = np.zeros_like(rho)

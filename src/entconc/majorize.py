@@ -258,68 +258,66 @@ def group_ttransforms(ts: list, g: int, d: int) -> list[np.ndarray]:
     return out
 
 
-def _perfect_matching(adj: np.ndarray) -> np.ndarray | None:
-    """Kuhn's augmenting-path perfect matching on a boolean adjacency matrix.
+def _augment(adj: list, row_of: list, r: int, seen: list) -> bool:
+    """Kuhn's step: match row r along an alternating path to a free column.
 
-    Returns col_of_row index array or None if no perfect matching exists.
+    ``adj[r]`` lists row r's allowed columns in ascending order, ``row_of[c]``
+    is column c's row or -1, and the path enters no column marked in ``seen``.
     """
-    d = adj.shape[0]
-    row_of_col = np.full(d, -1)
-
-    def try_row(r: int, seen: np.ndarray) -> bool:
-        for c in range(d):
-            if adj[r, c] and not seen[c]:
-                seen[c] = True
-                if row_of_col[c] < 0 or try_row(row_of_col[c], seen):
-                    row_of_col[c] = r
-                    return True
-        return False
-
-    for r in range(d):
-        if not try_row(r, np.zeros(d, dtype=bool)):
-            return None
-    col_of_row = np.empty(d, dtype=int)
-    for c, r in enumerate(row_of_col):
-        col_of_row[r] = c
-    return col_of_row
+    for c in adj[r]:
+        if not seen[c]:
+            seen[c] = True
+            if row_of[c] < 0 or _augment(adj, row_of, row_of[c], seen):
+                row_of[c] = r
+                return True
+    return False
 
 
 def _lex_bottleneck_matching(m: np.ndarray) -> np.ndarray:
     """Max-bottleneck perfect matching, lexicographically smallest.
 
-    Binary-searches the bottleneck value over the distinct positive entries,
-    then fixes row assignments in order, always choosing the smallest column
-    that keeps the remaining rows matchable.
+    Binary-searches the bottleneck value over the distinct positive entries
+    (an entry is allowed when it is at least the value less 1e-15), with
+    Kuhn's matchings on adjacency lists. The matching found at the
+    bottleneck is then made lexicographically smallest row by row: row r
+    takes the smallest allowed column c < col[r] from which an alternating
+    path exists that starts at the row holding c, stays on rows > r, never
+    enters c, and ends at col[r]; the matching is rotated along that path.
+    That is the column that "keeps the rows after r matchable" would pick:
+    a perfect matching of those rows on the columns left once r takes c
+    exists exactly when such a path does, because its symmetric difference
+    with the current matching of those rows is that path.
     """
     d = m.shape[0]
+    rows = m.tolist()
     vals = np.unique(m[m > 1e-15])
     lo, hi = 0, len(vals) - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        match = _perfect_matching(m >= vals[mid] - 1e-15)
-        if match is not None:
-            best = vals[mid]
+        thr = float(vals[mid]) - 1e-15
+        adj = [[c for c, x in enumerate(row) if x >= thr] for row in rows]
+        row_of = [-1] * d
+        if all(_augment(adj, row_of, r, [False] * d) for r in range(d)):
+            best = adj, row_of
             lo = mid + 1
         else:
             hi = mid - 1
     if best is None:
         raise ArithmeticError("matrix has no positive perfect matching")
-    adj = m >= best - 1e-15
-    perm = np.full(d, -1)
-    used = np.zeros(d, dtype=bool)
+    adj, row_of = best
     for r in range(d):
-        for c in range(d):
-            if adj[r, c] and not used[c]:
-                sub_rows = [i for i in range(r + 1, d)]
-                sub_cols = [j for j in range(d) if not used[j] and j != c]
-                sub = adj[np.ix_(sub_rows, sub_cols)] if sub_rows else None
-                if sub is None or _perfect_matching(sub) is not None:
-                    perm[r] = c
-                    used[c] = True
+        free = row_of.index(r)
+        for c in adj[r][: adj[r].index(free)]:
+            if row_of[c] > r:
+                seen = [i < r or j == c for j, i in enumerate(row_of)]
+                row_of[free] = -1
+                if _augment(adj, row_of, row_of[c], seen):
+                    row_of[c] = r
                     break
-        if perm[r] < 0:
-            raise ArithmeticError("lexicographic matching failed")
+                row_of[free] = r
+    perm = np.empty(d, dtype=int)
+    perm[row_of] = np.arange(d)
     return perm
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from entconc import cli
 from entconc.cli import main, COLUMNS, CSV_VERSION
 
 
@@ -295,3 +296,30 @@ class TestReport:
         text = capsys.readouterr().out
         assert "3 rows" in text
         assert "axis: p_d" in text
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_get_their_own_arguments(self, monkeypatch):
+        seen = []
+        for name in ("_cmd_sweep", "_cmd_compile", "_cmd_report"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        calls = [
+            ["compile", "--protocol", "cec", "--a", "0.1", "--g", "3", "--out", "x.json"],
+            ["sweep", "--protocols", "nec,cec", "--axis", "pd", "--range", "0:0.1:0.05",
+             "--weights", "1,0,0", "--recompile-on-reuse"],
+            ["compile"],
+            ["sweep"],
+            ["report", "a.csv", "b.csv"],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        fresh = [vars(cli.build_parser.__wrapped__().parse_args(argv)) for argv in calls]
+        assert seen == fresh
+        assert seen[2]["protocol"] == "nec" and seen[2]["a"] == 0.0 and seen[2]["g"] == 1
+        assert seen[2]["out"] == "-"
+        assert seen[3]["weights"] == (1 / np.sqrt(3),) * 3
+        assert not seen[3]["recompile_on_reuse"] and seen[3]["axis"] is None
+        assert "protocol" not in seen[3] and "files" not in seen[3]

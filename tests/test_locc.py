@@ -314,6 +314,46 @@ class TestEmbedPovm:
                 assert abs(overlap - 1.0) < 1e-10
 
 
+def reflection_from_column(col):
+    """Per-block reference: I - 2vv^T/|v|^2 with v = e_0 - col/|col|."""
+    ka = col.size
+    v = -(col / np.linalg.norm(col))
+    v[0] += 1.0
+    norm2 = float(v @ v)
+    if norm2 < 1e-28:
+        u = np.eye(ka)
+        if ka > 1:
+            u[1, 1] = -1.0
+        return u
+    return np.eye(ka) - 2.0 * np.outer(v, v) / norm2
+
+
+class TestEmbedBatch:
+    @given(
+        m=st.integers(1, 5),
+        d=st.sampled_from([2, 4, 8]),
+        certain=st.integers(0, 2),
+        off=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=2, d=4, certain=2, off=1, seed=0)
+    def test_blocks_equal_per_block_reference(self, m, d, certain, off, seed):
+        rng = np.random.default_rng(seed)
+        els = rng.random((m, d))
+        els /= els.sum(axis=0)
+        els[:, :certain] = np.eye(m)[:, :1]
+        els[:, d - off:] = 0.0
+        povm = DiagonalPOVM(elements=list(els), corrections=[np.arange(d)] * m)
+        emb = embed_povm(povm, allow_multi=True)
+        ka = 2**emb.aux_count
+        assert emb.blocks.shape == (d, ka, ka)
+        for j in range(d):
+            col = np.zeros(ka)
+            col[:m] = np.sqrt(els[:, j])
+            want = reflection_from_column(col) if povm.support[j] else np.eye(ka)
+            assert np.array_equal(emb.blocks[j], want)
+
+
 class TestSynthesize:
     def test_identity_blocks_free(self):
         povm = DiagonalPOVM(

@@ -1,5 +1,7 @@
 """Unit tests for majorization, conversion probability, and decompositions."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +21,12 @@ from entconc import (
     vidal_intermediate,
     vidal_probability,
 )
-from entconc.majorize import expand_step, expand_ttransform, permutation_matrix
+from entconc.majorize import (
+    _lex_bottleneck_matching,
+    expand_step,
+    expand_ttransform,
+    permutation_matrix,
+)
 
 
 def random_majorized_pair(rng, d):
@@ -388,6 +395,104 @@ class TestBirkhoffDecompose:
         for (wa, pa), (wb, pb) in zip(a, b):
             assert abs(wa - wb) < 1e-15
             assert list(pa) == list(pb)
+
+
+def brute_force_matching(m):
+    """Lex-smallest max-bottleneck permutation, by enumerating all of them.
+
+    B is the largest bottleneck over every permutation; the threshold is
+    the largest distinct entry above 1e-15 that B reaches within 1e-15;
+    the answer is the first permutation in ``itertools`` (lexicographic)
+    order whose entries all clear that threshold less 1e-15.
+    """
+    d = m.shape[0]
+    perms = np.array(list(itertools.permutations(range(d))))
+    entries = m[np.arange(d), perms]
+    bottleneck = entries.min(axis=1).max()
+    vals = np.unique(m[m > 1e-15])
+    best = vals[vals - 1e-15 <= bottleneck].max()
+    return perms[np.flatnonzero((entries >= best - 1e-15).all(axis=1))[0]]
+
+
+def brute_force_birkhoff(dmat):
+    """birkhoff_decompose's greedy loop over the brute-force matching."""
+    m = np.array(dmat, dtype=float)
+    d = m.shape[0]
+    terms = []
+    while m.max() >= 1e-13:
+        perm = brute_force_matching(m)
+        q = float(m[np.arange(d), perm].min())
+        m[np.arange(d), perm] -= q
+        m[m < 1e-15] = 0.0
+        terms.append((q, perm))
+    total = sum(q for q, _ in terms)
+    return [(q / total, p) for q, p in terms]
+
+
+NEAR = (-1e-15, -5e-16, -2**-53, 2**-53, 5e-16, 1e-15)
+
+
+@st.composite
+def permutation_mixtures(draw):
+    """Doubly-stochastic mixtures of permutations with ties and near-ties.
+
+    Weights are equal, rounded to one decimal (so entries tie), or free;
+    optionally some positive entries then move by at most 1e-15, so they
+    sit within the matching threshold's 1e-15 of one another.
+    """
+    d = draw(st.integers(2, 6))
+    k = draw(st.integers(1, d + 1))
+    perms = [draw(st.permutations(range(d))) for _ in range(k)]
+    kind = draw(st.sampled_from(["equal", "rounded", "free"]))
+    if kind == "equal":
+        w = np.full(k, 1.0 / k)
+    else:
+        raw = np.array(draw(st.lists(st.floats(0.15, 1.0), min_size=k, max_size=k)))
+        w = np.round(raw, 1) if kind == "rounded" else raw
+        w = w / w.sum()
+    m = np.zeros((d, d))
+    for wi, p in zip(w, perms):
+        m[np.arange(d), p] += wi
+    if draw(st.booleans()):
+        pos = np.flatnonzero(m > 1e-12)
+        picks = draw(st.lists(st.sampled_from(list(pos)), min_size=1, max_size=4))
+        for i in picks:
+            m.flat[i] += draw(st.sampled_from(NEAR))
+    return m
+
+
+class TestLexBottleneckReference:
+    """The matching and the decomposition equal an independent brute force."""
+
+    @settings(max_examples=200)
+    @given(m=permutation_mixtures())
+    @example(m=np.full((4, 4), 0.25))
+    @example(m=np.array([[0.5, 0.5 + 1e-15, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]))
+    def test_matching_equals_brute_force(self, m):
+        got = _lex_bottleneck_matching(m)
+        assert np.array_equal(got, brute_force_matching(m))
+
+    @settings(max_examples=200)
+    @given(m=permutation_mixtures())
+    def test_birkhoff_equals_greedy_brute_force(self, m):
+        got = birkhoff_decompose(m)
+        want = brute_force_birkhoff(m)
+        assert len(got) == len(want)
+        for (q_got, p_got), (q_want, p_want) in zip(got, want):
+            assert q_got == q_want
+            assert np.array_equal(p_got, p_want)
+
+    @given(d=st.integers(3, 6), g=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_grouped_round_matrices(self, d, g, seed):
+        # the matrices the compiler decomposes: products of g folded steps
+        rng = np.random.default_rng(seed)
+        alpha, beta = random_majorized_pair(rng, d)
+        steps = fold_ttransforms(t_transform_decompose(alpha, beta))
+        for mat in group_ttransforms(steps, g, d):
+            got = birkhoff_decompose(mat)
+            want = brute_force_birkhoff(mat)
+            assert [q for q, _ in got] == [q for q, _ in want]
+            assert all(np.array_equal(p, r) for (_, p), (_, r) in zip(got, want))
 
 
 class TestExpandTTransform:
