@@ -115,6 +115,12 @@ def _parse_weights(text: str) -> tuple:
     return tuple(w / norm)
 
 
+def _parse_group_size(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise UsageError(f"--g must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _noise_params(args, axis_field: str | None = None, value: float | None = None):
     fields = {"a": args.a, "p_d": args.pd, "p_g": args.pg}
     if axis_field is not None:
@@ -145,7 +151,7 @@ def _point_results(protocols, params: NoiseParams, g: int, recompile: bool) -> d
         out["cec"] = run_cec(rho, rho, catalyst, g, params.p_g)
         if "catalyst-reuse" in protocols:
             out["catalyst-reuse"] = reuse_catalyst(
-                out["cec"], rho, rho, g, params.p_g, recompile_from_state=recompile
+                out["cec"], rho, rho, params.p_g, recompile_from_state=recompile
             )
     if "distillation" in protocols:
         plan = optimize_distillation(rho, rho, params.p_g)
@@ -440,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="incoherent error probability (default 0)")
         p.add_argument("--pg", type=float, default=0.0,
                        help="per-MCX gate error probability (default 0)")
-        p.add_argument("--g", type=int, default=1,
+        p.add_argument("--g", type=_parse_group_size, default=1,
                        help="transforms grouped per round (default 1)")
         p.add_argument("--weights", type=_parse_weights,
                        default=(1 / math.sqrt(3),) * 3, metavar="ex,ez,ey",
@@ -477,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # type= parsers raise UsageError, which argparse passes on to here
+        args = build_parser().parse_args(argv)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "compile":

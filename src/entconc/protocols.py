@@ -9,7 +9,8 @@ output pair. The designated output pair is always the first prepared pair.
 Conversion runners:
 - ``run_nec``: two pairs into one Bell pair, no catalyst.
 - ``run_cec``: two pairs plus a catalyst pair; the catalyst is returned.
-- ``reuse_catalyst``: chain a second catalytic run on the degraded catalyst.
+- ``reuse_catalyst``: replay a catalytic run's schedule on its degraded
+  catalyst.
 - ``run_distillation`` / ``optimize_distillation``: 2-to-1 recurrence-style
   distillation baseline over mirrored single-qubit Cliffords and a
   bilateral CNOT.
@@ -17,21 +18,22 @@ Conversion runners:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .locc import compile_schedule, run_schedule
+from .locc import ProtocolSchedule, compile_schedule, run_schedule
 from .noise import PHI_PLUS, depolarize, surrogate
 from .qmath import (
     PAULI_I,
     PAULI_X,
     assert_density_matrix,
+    assert_pure_state,
     clip_unit,
     fidelity,
     partial_trace,
     permute_subsystems,
-    schmidt_decompose,
 )
 from .majorize import vidal_probability
 
@@ -55,7 +57,10 @@ class ProtocolResult:
     pair; ``catalyst_post`` (catalytic runs only) is the reduced state of
     the catalyst pair on the success branch. ``gate_counts`` maps party
     name to its MCX total. ``branch_count`` counts the measurement branches
-    in the schedule plus the two filter branches.
+    in the schedule plus the two filter branches. ``schedule`` is the
+    conversion schedule compiled for the pairs and the ideal catalyst, the
+    one ``reuse_catalyst`` replays; a reuse link passes it on, also when it
+    ran a recompiled schedule. Distillation results carry None.
     """
 
     success_probability: float
@@ -67,6 +72,7 @@ class ProtocolResult:
     catalyst_spec: "CatalystSpec | None" = None
     catalyst_fidelity_before: float | None = None
     catalyst_fidelity_after: float | None = None
+    schedule: ProtocolSchedule | None = None
 
     @property
     def mcx_total(self) -> int:
@@ -180,24 +186,36 @@ def _pair_states(*states) -> list:
 
 
 def _schmidt_vector(state: np.ndarray) -> np.ndarray:
-    n = state.size
-    d = int(round(np.sqrt(n)))
-    if d * d != n:
+    """Schmidt coefficients, descending, of a pure state on equal halves.
+
+    Bit-equal to ``schmidt_decompose(...).coefficients`` (the same SVD and
+    normalization), without building and pinning the frames.
+    """
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    d = int(round(np.sqrt(state.size)))
+    if d * d != state.size:
         raise ValueError("state does not split into equal halves")
-    return schmidt_decompose(state, d, d).coefficients
+    assert_pure_state(state)
+    coeffs = np.linalg.svd(state.reshape(d, d))[1] ** 2
+    return coeffs / coeffs.sum()
+
+
+def _parties(*pairs) -> np.ndarray:
+    """Party-ordered product of pair states (vectors or density matrices)."""
+    return _pairs_to_parties(reduce(np.kron, pairs), len(pairs))
+
+
+_TARGET_PAIRS = (PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex))
 
 
 def joint_surrogate(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Party-ordered product of the per-pair surrogate states."""
-    sur_pairs = np.kron(surrogate(rho_a), surrogate(rho_b))
-    return _pairs_to_parties(sur_pairs, 2)
+    return _parties(surrogate(rho_a), surrogate(rho_b))
 
 
 def nec_planning_states(rho_a: np.ndarray, rho_b: np.ndarray) -> tuple:
     """Surrogate and target states for the non-catalytic conversion."""
-    surrogate_full = joint_surrogate(rho_a, rho_b)
-    target_pairs = np.kron(PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex))
-    return surrogate_full, _pairs_to_parties(target_pairs, 2)
+    return joint_surrogate(rho_a, rho_b), _parties(*_TARGET_PAIRS)
 
 
 def cec_planning_states(
@@ -209,24 +227,37 @@ def cec_planning_states(
     planned with; the target returns it unchanged next to the Bell output.
     """
     cat = np.asarray(planning_catalyst, dtype=complex).reshape(-1)
-    sur_pairs = np.kron(np.kron(surrogate(rho_a), surrogate(rho_b)), cat)
-    target_pairs = np.kron(
-        np.kron(PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex)), cat
+    return _parties(surrogate(rho_a), surrogate(rho_b), cat), _parties(*_TARGET_PAIRS, cat)
+
+
+def _execute(
+    schedule: ProtocolSchedule, pairs: list, p_g: float, ideal: CatalystSpec | None = None
+) -> ProtocolResult:
+    """Run ``schedule`` on the pairs and reduce the success branch.
+
+    The output pair is the first pair; with an ``ideal`` catalyst the last
+    pair is the catalyst, reported with its fidelities to the ideal state.
+    """
+    n = len(pairs)
+    prob, rho_out = run_schedule(schedule, _parties(*pairs), p_g)
+    output = partial_trace(rho_out, keep=[0, n])
+    catalyst = {"catalyst_post": None}
+    if ideal is not None:
+        post = partial_trace(rho_out, keep=[n - 1, 2 * n - 1])
+        catalyst = dict(
+            catalyst_post=post, catalyst_spec=ideal,
+            catalyst_fidelity_before=float(fidelity(pairs[-1], ideal.state)),
+            catalyst_fidelity_after=float(fidelity(post, ideal.state)),
+        )
+    return ProtocolResult(
+        success_probability=float(prob),
+        output_state=output,
+        output_fidelity=float(fidelity(output, PHI_PLUS)),
+        gate_counts={"A": schedule.mcx_total, "B": 0},
+        branch_count=sum(len(r.povm.elements) for r in schedule.rounds) + 2,
+        schedule=schedule,
+        **catalyst,
     )
-    return _pairs_to_parties(sur_pairs, 3), _pairs_to_parties(target_pairs, 3)
-
-
-def _run_conversion(
-    rho_full: np.ndarray,
-    surrogate_full: np.ndarray,
-    target_full: np.ndarray,
-    g: int,
-    p_g: float,
-) -> tuple:
-    schedule = compile_schedule(surrogate_full, target_full, g)
-    prob, rho_out = run_schedule(schedule, rho_full, p_g)
-    branch_count = sum(len(r.povm.elements) for r in schedule.rounds) + 2
-    return schedule, prob, rho_out, branch_count
 
 
 def run_nec(rho_a: np.ndarray, rho_b: np.ndarray, g: int = 1, p_g: float = 0.0) -> ProtocolResult:
@@ -238,21 +269,9 @@ def run_nec(rho_a: np.ndarray, rho_b: np.ndarray, g: int = 1, p_g: float = 0.0) 
     pair on the success branch. Raises ValueError unless both inputs are
     two-qubit density matrices.
     """
-    rho_a, rho_b = _pair_states(rho_a, rho_b)
-    surrogate_full, target_full = nec_planning_states(rho_a, rho_b)
-    rho_full = _pairs_to_parties(np.kron(rho_a, rho_b), 2)
-    schedule, prob, rho_out, branches = _run_conversion(
-        rho_full, surrogate_full, target_full, g, p_g
-    )
-    output = partial_trace(rho_out, keep=[0, 2])
-    return ProtocolResult(
-        success_probability=float(prob),
-        output_state=output,
-        output_fidelity=float(fidelity(output, PHI_PLUS)),
-        catalyst_post=None,
-        gate_counts={"A": schedule.mcx_total, "B": 0},
-        branch_count=branches,
-    )
+    pairs = _pair_states(rho_a, rho_b)
+    schedule = compile_schedule(*nec_planning_states(*pairs), g)
+    return _execute(schedule, pairs, p_g)
 
 
 def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float = 1e-4) -> CatalystSpec:
@@ -267,8 +286,7 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float =
     deterministically convertible inputs return the product catalyst
     (1, 0). ``achieved_probability`` is the best score on the grid.
     """
-    sigma = _schmidt_vector(np.asarray(surrogate, dtype=complex).ravel())
-    tau = _schmidt_vector(np.asarray(target, dtype=complex).ravel())
+    sigma, tau = _schmidt_vector(surrogate), _schmidt_vector(target)
     c1 = 0.5 + np.arange(int(round(0.5 / resolution)) + 1) * resolution
     cat = np.stack([c1, 1.0 - c1], axis=1)
     joint = (np.sort(np.einsum("i,cj->cij", v, cat).reshape(c1.size, -1)) for v in (sigma, tau))
@@ -279,26 +297,18 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float =
 
 
 def run_cec(
-    rho_a: np.ndarray,
-    rho_b: np.ndarray,
-    catalyst,
-    g: int = 1,
-    p_g: float = 0.0,
-    *,
-    ideal_catalyst: CatalystSpec | None = None,
-    recompile_from_state: bool = False,
+    rho_a: np.ndarray, rho_b: np.ndarray, catalyst, g: int = 1, p_g: float = 0.0
 ) -> ProtocolResult:
     """Concentrate two noisy pairs with the help of a catalyst pair.
 
     ``catalyst`` is either a CatalystSpec (a fresh, pure catalyst) or the
-    density matrix of an already-degraded catalyst pair. The schedule is
-    compiled for the planning catalyst: the ideal catalyst state by
-    default, or the degraded catalyst's own surrogate when
-    ``recompile_from_state`` is set. The target returns the planning
-    catalyst alongside the Bell output, and ``catalyst_post`` reports the
-    catalyst pair's reduced state on the success branch. Raises ValueError
-    unless both pairs and a density-matrix catalyst are two-qubit density
-    matrices.
+    density matrix of a catalyst pair, whose ideal is then the catalyst
+    with the Schmidt coefficients of its surrogate. The schedule is
+    compiled for the ideal catalyst, and the target returns it alongside
+    the Bell output; ``catalyst_post`` reports the catalyst pair's reduced
+    state on the success branch, and ``schedule`` the compiled schedule.
+    Raises ValueError unless both pairs and a density-matrix catalyst are
+    two-qubit density matrices.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
     if isinstance(catalyst, CatalystSpec):
@@ -306,60 +316,39 @@ def run_cec(
         cat_dm = np.outer(catalyst.state, catalyst.state.conj())
     else:
         (cat_dm,) = _pair_states(catalyst)
-        ideal = ideal_catalyst
-        if ideal is None:
-            top = surrogate(cat_dm)
-            c1 = float(np.sort(_schmidt_vector(top))[::-1][0])
-            ideal = catalyst_from_schmidt(max(0.5, min(1.0, c1)))
-    plan_cat = surrogate(cat_dm) if recompile_from_state else ideal.state
-    surrogate_full, target_full = cec_planning_states(rho_a, rho_b, plan_cat)
-    rho_pairs = np.kron(np.kron(rho_a, rho_b), cat_dm)
-    rho_full = _pairs_to_parties(rho_pairs, 3)
-    schedule, prob, rho_out, branches = _run_conversion(
-        rho_full, surrogate_full, target_full, g, p_g
-    )
-    output = partial_trace(rho_out, keep=[0, 3])
-    catalyst_post = partial_trace(rho_out, keep=[2, 5])
-    return ProtocolResult(
-        success_probability=float(prob),
-        output_state=output,
-        output_fidelity=float(fidelity(output, PHI_PLUS)),
-        catalyst_post=catalyst_post,
-        gate_counts={"A": schedule.mcx_total, "B": 0},
-        branch_count=branches,
-        catalyst_spec=ideal,
-        catalyst_fidelity_before=float(fidelity(cat_dm, ideal.state)),
-        catalyst_fidelity_after=float(fidelity(catalyst_post, ideal.state)),
-    )
+        c1 = float(_schmidt_vector(surrogate(cat_dm))[0])
+        ideal = catalyst_from_schmidt(max(0.5, min(1.0, c1)))
+    schedule = compile_schedule(*cec_planning_states(rho_a, rho_b, ideal.state), g)
+    return _execute(schedule, [rho_a, rho_b, cat_dm], p_g, ideal)
 
 
 def reuse_catalyst(
     prev: ProtocolResult,
     rho_a: np.ndarray,
     rho_b: np.ndarray,
-    g: int = 1,
     p_g: float = 0.0,
     *,
     recompile_from_state: bool = False,
 ) -> ProtocolResult:
-    """Run catalytic concentration again with the previous run's catalyst.
+    """Run catalytic concentration again on the previous run's catalyst.
 
-    By default the schedule stays the one compiled for the ideal catalyst;
-    only the physical catalyst state is the degraded one. Setting
-    ``recompile_from_state`` replans against the degraded catalyst's
-    surrogate instead. Its inputs are validated as in ``run_cec``.
+    Replays ``prev.schedule``, compiled for the ideal catalyst, on the new
+    pairs and the degraded catalyst ``prev.catalyst_post`` without planning
+    or compiling: pairs other than the original run's still get the
+    original schedule. ``recompile_from_state`` instead compiles against the
+    degraded catalyst's surrogate, at the schedule's group size. The result
+    carries ``prev.schedule`` either way, so a later plain link replays the
+    original. Inputs are validated as in ``run_cec``.
     """
     if prev.catalyst_post is None or prev.catalyst_spec is None:
         raise ValueError("previous result does not carry a catalyst")
-    return run_cec(
-        rho_a,
-        rho_b,
-        prev.catalyst_post,
-        g,
-        p_g,
-        ideal_catalyst=prev.catalyst_spec,
-        recompile_from_state=recompile_from_state,
-    )
+    pairs = _pair_states(rho_a, rho_b, prev.catalyst_post)
+    schedule = prev.schedule
+    if recompile_from_state:
+        planning = cec_planning_states(pairs[0], pairs[1], surrogate(pairs[2]))
+        schedule = compile_schedule(*planning, schedule.group_size)
+    result = _execute(schedule, pairs, p_g, prev.catalyst_spec)
+    return replace(result, schedule=prev.schedule)
 
 
 def run_distillation(

@@ -190,6 +190,18 @@ class TestSweep:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option", [["--weights", "0,0,0"], ["--weights", "a,b,c"], ["--g", "0"]]
+    )
+    def test_bad_option_usage_error(self, tmp_path, capsys, option):
+        code = main([
+            "sweep", "--axis", "pd", "--range", "0:0.01:0.01", *option,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invalid_pair_state_exits_3(self, tmp_path, monkeypatch, capsys):
         import entconc.cli as cli
 

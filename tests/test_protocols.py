@@ -22,18 +22,22 @@ from entconc import (
     DistillationPlan,
     ProtocolResult,
     catalyst_from_schmidt,
+    compile_schedule,
     dejmps_plan,
     fidelity,
     find_catalyst,
     joint_surrogate,
     optimize_distillation,
+    partial_trace,
     prepare_state,
     result_to_document,
     reuse_catalyst,
     run_cec,
     run_distillation,
     run_nec,
+    run_schedule,
     schmidt_decompose,
+    surrogate,
     vidal_probability,
 )
 
@@ -189,6 +193,46 @@ class TestFindCatalyst:
         find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
         assert len(calls) == 1
 
+    def test_builds_no_schmidt_frames(self, monkeypatch):
+        import entconc.qmath as qmath
+
+        rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+        sur, tgt = protocols.nec_planning_states(rho, rho)
+
+        def refuse(*args):
+            raise AssertionError("a Schmidt frame was pinned")
+
+        monkeypatch.setattr(qmath, "_fix_degenerate_gauge", refuse)
+        spec = find_catalyst(sur, tgt)
+        assert 0.5 <= spec.schmidt[0] <= 1.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 4, 8]),
+        degenerate=st.booleans(),
+    )
+    @example(seed=-1, d=4, degenerate=True)
+    @example(seed=-2, d=4, degenerate=True)
+    @example(seed=-3, d=2, degenerate=False)
+    def test_schmidt_vector_is_bit_equal_to_decomposition(self, seed, d, degenerate):
+        if seed == -1:
+            psi = protocols.joint_surrogate(*[np.outer(PHI_PLUS, PHI_PLUS.conj())] * 2)
+        elif seed == -2:
+            psi = diag_state([0.5, 0.5, 0.0, 0.0])
+        elif seed == -3:
+            psi = np.array([1, 0, 0, 0], dtype=complex)
+        else:
+            rng = np.random.default_rng(seed)
+            coeffs = rng.random(d) + 0.05
+            if degenerate:
+                coeffs[: d // 2] = coeffs[0]
+            u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                    for _ in range(2))
+            psi = (u * np.sqrt(coeffs / coeffs.sum()) @ v.T).ravel()
+            psi /= np.linalg.norm(psi)
+        want = schmidt_decompose(psi, d, d).coefficients
+        assert np.array_equal(protocols._schmidt_vector(psi), want)
+
     def test_schmidt_ordering(self):
         spec = catalyst_from_schmidt(0.7)
         assert spec.schmidt[0] >= spec.schmidt[1]
@@ -236,9 +280,6 @@ class TestRunCec:
         spec = catalyst_from_schmidt(0.75)
         cat_dm = np.outer(spec.state, spec.state.conj())
         by_spec = run_cec(rho, rho, spec)
-        hinted = run_cec(rho, rho, cat_dm, ideal_catalyst=spec)
-        assert abs(by_spec.success_probability - hinted.success_probability) < 1e-12
-        assert abs(by_spec.output_fidelity - hinted.output_fidelity) < 1e-12
         inferred = run_cec(rho, rho, cat_dm)
         assert abs(inferred.catalyst_spec.schmidt[0] - 0.75) < 1e-9
         assert abs(by_spec.output_fidelity - inferred.output_fidelity) < 5e-3
@@ -310,6 +351,66 @@ class TestReuseCatalyst:
         nec = run_nec(rho, rho)
         with pytest.raises(ValueError):
             reuse_catalyst(nec, rho, rho)
+
+
+class TestScheduleReplay:
+    """Reuse replays the schedule compiled for the ideal catalyst."""
+
+    RHO = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return find_catalyst(*protocols.nec_planning_states(self.RHO, self.RHO))
+
+    def test_reuse_compiles_only_when_recompiling(self, monkeypatch, spec):
+        calls = []
+        compile_ = protocols.compile_schedule
+        monkeypatch.setattr(protocols, "compile_schedule",
+                            lambda src, tgt, g: calls.append(g) or compile_(src, tgt, g))
+        first = run_cec(self.RHO, self.RHO, spec, 2)
+        assert calls == [2]
+        second = reuse_catalyst(first, self.RHO, self.RHO)
+        assert calls == [2]
+        third = reuse_catalyst(second, self.RHO, self.RHO, recompile_from_state=True)
+        assert calls == [2, 2]
+        # pairs other than the original run's still replay its schedule
+        other = prepare_state(NoiseParams(a=0.2, p_d=0.01))
+        fourth = reuse_catalyst(third, other, other)
+        assert calls == [2, 2]
+        for res in (second, third, fourth):
+            assert res.schedule is first.schedule
+            assert res.catalyst_spec is spec
+        assert fourth.mcx_total == first.mcx_total
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("p_g", [0.0, 0.01])
+    def test_links_match_explicit_reference(self, spec, g, p_g):
+        rho = self.RHO
+        planned = compile_schedule(*protocols.cec_planning_states(rho, rho, spec.state), g)
+        res = run_cec(rho, rho, spec, g, p_g)
+        assert res.schedule.group_size == g
+        for recompile in (False, True, False):
+            cat = res.catalyst_post
+            schedule = planned
+            if recompile:
+                planning = protocols.cec_planning_states(rho, rho, surrogate(cat))
+                schedule = compile_schedule(*planning, g)
+            state = protocols._pairs_to_parties(reduce(np.kron, (rho, rho, cat)), 3)
+            prob, rho_out = run_schedule(schedule, state, p_g)
+            first = res
+            res = reuse_catalyst(first, rho, rho, p_g, recompile_from_state=recompile)
+            assert res.success_probability == prob
+            assert np.array_equal(res.output_state, partial_trace(rho_out, keep=[0, 3]))
+            assert np.array_equal(res.catalyst_post, partial_trace(rho_out, keep=[2, 5]))
+            assert res.catalyst_fidelity_before == fidelity(cat, spec.state)
+            assert res.catalyst_fidelity_after == fidelity(res.catalyst_post, spec.state)
+            assert res.mcx_total == schedule.mcx_total
+            assert res.schedule is first.schedule
+
+    def test_distillation_carries_no_schedule(self):
+        res = run_distillation(self.RHO, self.RHO, dejmps_plan())
+        assert res.schedule is None
+        assert run_nec(self.RHO, self.RHO).schedule is not None
 
 
 class TestInputValidation:
