@@ -257,31 +257,16 @@ def _svg_panel(lines, title, series, x_label, y_range, offset_y):
             )
 
 
-def _write_svg(path, rows, axis_field, axis_name, args):
+def _write_svg(path, rows, axis_field, args):
     retention = args.axis_convention == "retention"
-    x_label = f"1 - {axis_name} (retention)" if retention else axis_name
-
-    def xval(row):
-        v = row[axis_field]
-        return 1.0 - v if retention else v
-
-    protocols = []
+    x_label = f"1 - {axis_field} (retention)" if retention else axis_field
+    series_inf, series_suc = {}, {}
     for row in rows:
-        if row["protocol"] not in protocols:
-            protocols.append(row["protocol"])
-    series_inf = {}
-    series_suc = {}
-    for proto in protocols:
-        pts = [(xval(r), r["infidelity"]) for r in rows if r["protocol"] == proto]
+        x = 1.0 - row[axis_field] if retention else row[axis_field]
+        series_inf.setdefault(row["protocol"], []).append((x, row["infidelity"]))
+        series_suc.setdefault(row["protocol"], []).append((x, row["success_probability"]))
+    for pts in (*series_inf.values(), *series_suc.values()):
         pts.sort(key=lambda p: p[0])
-        series_inf[proto] = pts
-        pts = [
-            (xval(r), r["success_probability"])
-            for r in rows
-            if r["protocol"] == proto
-        ]
-        pts.sort(key=lambda p: p[0])
-        series_suc[proto] = pts
     inf_max = max((y for pts in series_inf.values() for _, y in pts), default=1.0)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -290,7 +275,7 @@ def _write_svg(path, rows, axis_field, axis_name, args):
         '<rect width="680" height="620" fill="white"/>',
     ]
     legend_x = 70.0
-    for proto in protocols:
+    for proto in series_inf:
         lines.append(
             f'<text x="{legend_x:.1f}" y="14" font-size="12" '
             f'font-family="sans-serif" fill="{_COLORS.get(proto, "#333")}">'
@@ -322,7 +307,7 @@ def _cmd_sweep(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, rows, args.axis, args)
     if args.svg:
-        _write_svg(args.svg, rows, axis_field, axis_field, args)
+        _write_svg(args.svg, rows, axis_field, args)
     return 0
 
 

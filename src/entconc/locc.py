@@ -131,7 +131,6 @@ class ScheduleRound:
     povm: DiagonalPOVM
     embedding: EmbeddingUnitary
     synthesis: SynthesisReport
-    party: str
     current: np.ndarray
     target_vector: np.ndarray
 
@@ -223,7 +222,7 @@ def js_povm(current, mix, target) -> DiagonalPOVM:
     return DiagonalPOVM(elements=elements, corrections=corrections)
 
 
-def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUnitary:
+def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     """Dilate a diagonal POVM into a block-diagonal embedding unitary.
 
     Applying the assembled unitary to |psi>_data |0...0>_aux and measuring
@@ -236,16 +235,10 @@ def embed_povm(povm: DiagonalPOVM, *, allow_multi: bool = False) -> EmbeddingUni
     with v = e_0 - col_j, whose first column is the unit amplitude column
     col_j = (sqrt(A_m[j]))_m; where col_j = e_0 it is the limit
     diag(1, -1, 1, ...). Off the support it is I. For two elements this is
-    sqrt(a_0^j) Z + sqrt(a_1^j) X. More than two elements is a cost-model
-    extension (unitary completion of the amplitude column) and must be
-    opted into with ``allow_multi``.
+    sqrt(a_0^j) Z + sqrt(a_1^j) X; the m elements of a grouped (g >= 2)
+    round get the same unitary completion of their amplitude column.
     """
     m = len(povm.elements)
-    if m > 2 and not allow_multi:
-        raise ValueError(
-            "embedding supports two elements; pass allow_multi=True for the "
-            "multi-element cost model"
-        )
     els = np.asarray(povm.elements, dtype=float)
     on = povm.support
     d = els.shape[1]
@@ -273,7 +266,7 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
 
     Each non-identity block U^j becomes a controlled unitary acting on all
     of the party's data qubits plus the auxiliary register and is charged
-    2 MCX gates (2(m-1) for the m-outcome cost-model extension); identity
+    2 MCX gates (2(m-1) for the m-outcome block of a g >= 2 round); identity
     blocks cost nothing and are omitted. Single-qubit gates are free. A
     block is the identity exactly when it is off the support or the POVM
     has one outcome: on the support, ``embed_povm`` never builds the
@@ -394,10 +387,7 @@ def execute_filter(state: np.ndarray, filter_diag) -> tuple:
 def _equal_qubit_split(size: int) -> int:
     n = int(round(math.log2(size)))
     if 2**n != size or n % 2 != 0:
-        raise ValueError(
-            "state size must be a power of 4 for an equal qubit split; "
-            "pass explicit dims"
-        )
+        raise ValueError("state size must be a power of 4 for an equal qubit split")
     return 2 ** (n // 2)
 
 
@@ -417,14 +407,7 @@ def _pad_target(target: np.ndarray, d_l: int, d_r: int) -> np.ndarray:
     return mat.ravel()
 
 
-def compile_schedule(
-    surrogate,
-    target,
-    g: int = 1,
-    *,
-    dims: tuple | None = None,
-    allow_multi: bool = True,
-) -> ProtocolSchedule:
+def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     """Compile the conversion from a pure source to a pure target.
 
     Works in the source's Schmidt frame: the deterministic phase walks the
@@ -448,11 +431,8 @@ def compile_schedule(
         raise ValueError("group size must be at least 1")
     s = np.asarray(surrogate, dtype=complex).reshape(-1)
     t = np.asarray(target, dtype=complex).reshape(-1)
-    if dims is None:
-        d_l = _equal_qubit_split(s.size)
-        d_r = s.size // d_l
-    else:
-        d_l, d_r = dims
+    d_l = _equal_qubit_split(s.size)
+    d_r = s.size // d_l
     if t.size > s.size:
         raise ValueError("target does not fit in the source registers")
     t_full = _pad_target(t, d_l, d_r)
@@ -486,10 +466,9 @@ def compile_schedule(
         chunk = steps[i * g : (i + 1) * g]
         mix = step_terms(chunk[0], d) if len(chunk) == 1 else groups[i]
         povm = js_povm(vectors[i + 1], mix, vectors[i])
-        emb = embed_povm(povm, allow_multi=allow_multi)
-        rep = synthesize(emb)
+        emb = embed_povm(povm)
         rounds.append(
-            ScheduleRound(povm, emb, rep, "A", vectors[i + 1], vectors[i])
+            ScheduleRound(povm, emb, synthesize(emb), vectors[i + 1], vectors[i])
         )
     on = gamma > SUPPORT_TOL
     filt = np.ones(d)
@@ -557,7 +536,7 @@ def schedule_to_document(schedule: ProtocolSchedule) -> dict:
     for rnd in schedule.rounds:
         rounds.append(
             {
-                "party": rnd.party,
+                "party": "A",
                 "current": [float(x) for x in rnd.current],
                 "target": [float(x) for x in rnd.target_vector],
                 "elements": [

@@ -55,18 +55,18 @@ def _pad_pair(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def is_majorized(alpha, beta, tol: float = 1e-12) -> bool:
+def is_majorized(alpha, beta) -> bool:
     """True iff every prefix sum of alpha is at most that of beta.
 
     The majorized (more mixed) vector is the first argument; True means a
     deterministic LOCC conversion from a state with Schmidt vector ``alpha``
-    to one with ``beta`` exists.
+    to one with ``beta`` exists. Sums are compared within SUM_TOL.
     """
     a, b = _pad_pair(alpha, beta)
     ca, cb = np.cumsum(a), np.cumsum(b)
-    if abs(ca[-1] - cb[-1]) > tol:
+    if abs(ca[-1] - cb[-1]) > SUM_TOL:
         return False
-    return bool(np.all(ca <= cb + tol))
+    return bool(np.all(ca <= cb + SUM_TOL))
 
 
 def _tails(v: np.ndarray) -> np.ndarray:
@@ -237,23 +237,20 @@ def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
     return [(q / total, p) for q, p in terms]
 
 
-def group_ttransforms(ts: list, g: int, d: int) -> list[np.ndarray]:
-    """Multiply consecutive T-transforms (or steps) in groups of g.
+def group_ttransforms(steps: list, g: int, d: int) -> list[np.ndarray]:
+    """Multiply consecutive steps from ``fold_ttransforms`` in groups of g.
 
-    Items of ``ts`` are T-transforms or steps from ``fold_ttransforms``.
-    Returns ceil(len(ts)/g) doubly-stochastic matrices [D_1, ..., D_l]
-    whose ordered product D_l ... D_1 equals the product of all items;
+    Returns ceil(len(steps)/g) doubly-stochastic matrices [D_1, ..., D_l]
+    whose ordered product D_l ... D_1 equals the product of all steps;
     applying them sequentially to a vector replays the full chain.
     """
     if g < 1:
         raise ValueError("group size must be at least 1")
     out = []
-    for start in range(0, len(ts), g):
+    for start in range(0, len(steps), g):
         m = np.eye(d)
-        for item in ts[start : start + g]:
-            if isinstance(item, TTransform):
-                item = (item,)
-            m = expand_step(item, d) @ m
+        for step in steps[start : start + g]:
+            m = expand_step(step, d) @ m
         out.append(m)
     return out
 
@@ -321,19 +318,18 @@ def _lex_bottleneck_matching(m: np.ndarray) -> np.ndarray:
     return perm
 
 
-def birkhoff_decompose(
-    dmat: np.ndarray, tol: float = RECON_TOL
-) -> list[tuple[float, np.ndarray]]:
+def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Convex decomposition of a doubly-stochastic matrix into permutations.
 
     Greedy max-bottleneck extraction: each step removes the largest weight
     supported on strictly positive entries, zeroing at least one entry, so
     the term count is bounded by (d-1)^2 + 1. Permutations are returned as
     index arrays p with matrix[i, p[i]] = 1, so (P v)[i] = v[p[i]].
+    Entries down to -RECON_TOL count as nonnegative.
     """
     m = np.asarray(dmat, dtype=float).copy()
     d = m.shape[0]
-    if m.shape != (d, d) or m.min() < -tol:
+    if m.shape != (d, d) or m.min() < -RECON_TOL:
         raise ValueError("not a nonnegative square matrix")
     if not (
         np.allclose(m.sum(axis=0), 1.0, atol=1e-9)

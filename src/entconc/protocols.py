@@ -163,12 +163,6 @@ def dejmps_plan() -> DistillationPlan:
     return DistillationPlan(alice_gates=(rx, rx), basis="Z", index=None)
 
 
-def _pairs_to_parties(state: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Reorder qubits from pair-interleaved to party-blocked layout."""
-    perm = [2 * i for i in range(n_pairs)] + [2 * i + 1 for i in range(n_pairs)]
-    return permute_subsystems(state, perm)
-
-
 def _pair_states(*states) -> list:
     """The inputs as complex arrays, each checked to be a 4x4 density matrix.
 
@@ -201,8 +195,13 @@ def _schmidt_vector(state: np.ndarray) -> np.ndarray:
 
 
 def _parties(*pairs) -> np.ndarray:
-    """Party-ordered product of pair states (vectors or density matrices)."""
-    return _pairs_to_parties(reduce(np.kron, pairs), len(pairs))
+    """Product of pair states (vectors or density matrices), party-ordered.
+
+    The product's qubits [A1, B1, A2, B2, ...] become [A1, A2, ..., B1, B2, ...].
+    """
+    n = len(pairs)
+    perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    return permute_subsystems(reduce(np.kron, pairs), perm)
 
 
 _TARGET_PAIRS = (PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex))

@@ -28,6 +28,7 @@ STRUCTURAL_TOL = 1e-10
 NORM_TOL = 1e-12
 DEGENERACY_TOL = 1e-11
 PIN_TOL = 1e-8
+TOP_DEGENERACY_TOL = 1e-9
 UNIT_TOL = 1e-12
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -289,12 +290,10 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
     return clip_unit((target.conj() @ rho @ target).real, "fidelity")
 
 
-def top_eigenstate(
-    rho: np.ndarray, degeneracy_tol: float = 1e-9
-) -> tuple[float, np.ndarray]:
+def top_eigenstate(rho: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a density matrix.
 
-    If the top eigenvalue is degenerate within ``degeneracy_tol`` the
+    If the top eigenvalue is degenerate within TOP_DEGENERACY_TOL the
     eigenvector with the largest overlap onto the uniform-diagonal reference
     (the maximally entangled diagonal for square dimensions) is chosen and a
     RuntimeWarning is raised. The returned vector's largest-magnitude
@@ -303,11 +302,11 @@ def top_eigenstate(
     rho = np.asarray(rho, dtype=complex)
     evals, evecs = np.linalg.eigh(rho)
     top = evals[-1]
-    degenerate = np.nonzero(evals > top - degeneracy_tol)[0]
+    degenerate = np.nonzero(evals > top - TOP_DEGENERACY_TOL)[0]
     vec = evecs[:, degenerate[-1]]
     if len(degenerate) > 1:
         warnings.warn(
-            f"top eigenvalue degenerate within {degeneracy_tol}: "
+            f"top eigenvalue degenerate within {TOP_DEGENERACY_TOL}: "
             f"{evals[degenerate]}",
             RuntimeWarning,
             stacklevel=2,

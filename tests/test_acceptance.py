@@ -112,7 +112,7 @@ def test_criterion_03_naimark_equivalence(rng):
         )
         emb = embed_povm(povm)
         rep = synthesize(emb)
-        rnd = ScheduleRound(povm, emb, rep, "A", a, a)
+        rnd = ScheduleRound(povm, emb, rep, a, a)
         psi = random_bipartite(rng, d, d)
         big = np.zeros(d * 2 * d, dtype=complex)
         big.reshape(d, 2, d)[:, 0, :] = psi.reshape(d, d)

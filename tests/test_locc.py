@@ -28,7 +28,7 @@ from entconc import majorize, qmath
 from entconc.locc import ScheduleRound
 from entconc.majorize import TTransform, expand_step, step_terms
 from entconc.protocols import (
-    _pairs_to_parties,
+    _parties,
     cec_planning_states,
     nec_planning_states,
     run_cec,
@@ -42,11 +42,11 @@ def swap2():
 
 def diag_round(povm):
     """Wrap a POVM into an executable round (current/target unused here)."""
-    emb = embed_povm(povm, allow_multi=True)
+    emb = embed_povm(povm)
     rep = synthesize(emb)
     d = len(np.asarray(povm.elements[0]))
     v = np.full(d, 1.0 / d)
-    return ScheduleRound(povm, emb, rep, "A", v, v)
+    return ScheduleRound(povm, emb, rep, v, v)
 
 
 def aux_state(vec_data, ka, d_b=None):
@@ -100,10 +100,7 @@ def schedule_and_state(kind, g, rng):
             cat = catalyst_from_schmidt(0.5 + 0.5 * rng.random())
             planning = cec_planning_states(rho, rho, cat.state)
             pairs = [rho, rho, np.outer(cat.state, cat.state.conj())]
-        state = pairs[0]
-        for pair in pairs[1:]:
-            state = np.kron(state, pair)
-        return compile_schedule(*planning, g), _pairs_to_parties(state, len(pairs))
+        return compile_schedule(*planning, g), _parties(*pairs)
     d = int(kind.removeprefix("random"))
     psi = random_bipartite(rng, d, d)
     noise = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
@@ -275,18 +272,10 @@ class TestEmbedPovm:
             elements=[np.full(2, 0.25)] * 4,
             corrections=[np.arange(2)] * 4,
         )
-        emb = embed_povm(povm, allow_multi=True)
+        emb = embed_povm(povm)
         assert emb.aux_count == 2
         u = emb.assemble()
         assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
-
-    def test_multi_requires_flag(self):
-        povm = DiagonalPOVM(
-            elements=[np.full(2, 1 / 3)] * 3,
-            corrections=[np.arange(2)] * 3,
-        )
-        with pytest.raises(ValueError):
-            embed_povm(povm)
 
     def test_naimark_statistics(self, rng):
         for _ in range(25):
@@ -344,7 +333,7 @@ class TestEmbedBatch:
         els[:, :certain] = np.eye(m)[:, :1]
         els[:, d - off:] = 0.0
         povm = DiagonalPOVM(elements=list(els), corrections=[np.arange(d)] * m)
-        emb = embed_povm(povm, allow_multi=True)
+        emb = embed_povm(povm)
         ka = 2**emb.aux_count
         assert emb.blocks.shape == (d, ka, ka)
         for j in range(d):
@@ -360,7 +349,7 @@ class TestSynthesize:
             elements=[np.array([1.0, 1.0])],
             corrections=[np.arange(2)],
         )
-        rep = synthesize(embed_povm(povm, allow_multi=True))
+        rep = synthesize(embed_povm(povm))
         assert rep.blocks == []
         assert rep.mcx_total == 0
 
@@ -410,7 +399,7 @@ class TestSynthesize:
             elements=[np.full(2, 0.25)] * 4,
             corrections=[np.arange(2)] * 4,
         )
-        rep = synthesize(embed_povm(povm, allow_multi=True))
+        rep = synthesize(embed_povm(povm))
         for blk in rep.blocks:
             assert blk.mcx_count == 2 * (4 - 1)
 

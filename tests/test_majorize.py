@@ -238,12 +238,13 @@ class TestGroupTTransforms:
         full = np.eye(d)
         for t in ts:
             full = expand_ttransform(t, d) @ full
-        ones = group_ttransforms(ts, 1, d)
+        steps = [(t,) for t in ts]
+        ones = group_ttransforms(steps, 1, d)
         assert len(ones) == 4
-        alls = group_ttransforms(ts, len(ts), d)
+        alls = group_ttransforms(steps, len(steps), d)
         assert len(alls) == 1
         assert np.allclose(alls[0], full, atol=1e-10)
-        twos = group_ttransforms(ts, 2, d)
+        twos = group_ttransforms(steps, 2, d)
         assert len(twos) == 2
         prod = np.eye(d)
         for mat in twos:
@@ -252,9 +253,9 @@ class TestGroupTTransforms:
 
     def test_groups_are_doubly_stochastic(self, rng):
         d = 6
-        ts = self._chain(rng, d, 5)
+        steps = [(t,) for t in self._chain(rng, d, 5)]
         for g in (1, 2, 3, 10):
-            for mat in group_ttransforms(ts, g, d):
+            for mat in group_ttransforms(steps, g, d):
                 assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-10)
                 assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-10)
                 assert mat.min() > -1e-12

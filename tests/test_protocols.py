@@ -395,7 +395,7 @@ class TestScheduleReplay:
             if recompile:
                 planning = protocols.cec_planning_states(rho, rho, surrogate(cat))
                 schedule = compile_schedule(*planning, g)
-            state = protocols._pairs_to_parties(reduce(np.kron, (rho, rho, cat)), 3)
+            state = protocols._parties(rho, rho, cat)
             prob, rho_out = run_schedule(schedule, state, p_g)
             first = res
             res = reuse_catalyst(first, rho, rho, p_g, recompile_from_state=recompile)
@@ -406,6 +406,18 @@ class TestScheduleReplay:
             assert res.catalyst_fidelity_after == fidelity(res.catalyst_post, spec.state)
             assert res.mcx_total == schedule.mcx_total
             assert res.schedule is first.schedule
+
+    # Recompiling against the degraded catalyst fails in js_povm: the
+    # Birkhoff terms of a grouped round rebuild a tiny entry of the current
+    # vector with a relative error past COMPLETENESS_TOL.
+    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                       reason="POVM completeness failed on the support")
+    @pytest.mark.parametrize("g, p_g", [(2, 0.02), (3, 0.015)])
+    def test_recompile_at_gate_noise(self, g, p_g):
+        rho = self.RHO
+        spec = find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
+        first = run_cec(rho, rho, spec, g, p_g)
+        reuse_catalyst(first, rho, rho, p_g, recompile_from_state=True)
 
     def test_distillation_carries_no_schedule(self):
         res = run_distillation(self.RHO, self.RHO, dejmps_plan())
