@@ -34,6 +34,7 @@ from .protocols import (
     cec_planning_states,
     find_catalyst,
     joint_surrogate,
+    nec_planning_states,
     optimize_distillation,
     reuse_catalyst,
     run_cec,
@@ -321,11 +322,10 @@ def _cmd_compile(args) -> int:
         "g": args.g,
     }
     if args.protocol == "nec":
-        schedule = compile_schedule(joint_surrogate(rho, rho), PHI_PLUS, args.g)
+        schedule = compile_schedule(*nec_planning_states(rho, rho), args.g)
     else:
         catalyst = find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
-        surrogate_full, target_full = cec_planning_states(rho, rho, catalyst.state)
-        schedule = compile_schedule(surrogate_full, target_full, args.g)
+        schedule = compile_schedule(*cec_planning_states(rho, rho, catalyst.state), args.g)
         context["catalyst_c1"] = float(catalyst.schmidt[0])
         context["catalyst_probability"] = catalyst.achieved_probability
     doc = {"context": context, "schedule": schedule_to_document(schedule)}

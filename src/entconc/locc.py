@@ -178,28 +178,22 @@ class ProtocolSchedule:
         return sum(r.synthesis.mcx_total for r in self.rounds)
 
 
-def js_povm(current, mix, target) -> DiagonalPOVM:
+def js_povm(terms, target) -> DiagonalPOVM:
     """Diagonal POVM realizing one round of the conversion.
 
-    ``mix`` is the round's doubly-stochastic matrix, which must map
-    ``target`` to ``current`` and is decomposed by ``birkhoff_decompose``,
-    or that decomposition itself: a list of (weight, permutation) terms.
-    A one-step round passes its two terms from ``majorize.step_terms``.
-    Builds one element per distinct permuted image w_m = P_m target, with
-    diagonal q_m * w_m / current on the support of ``current`` and 0
-    elsewhere. Measuring a Schmidt-diagonal state with vector ``current``
-    gives outcome m with probability q_m and post-measurement vector w_m;
-    the recorded correction permutation maps w_m back to ``target``.
-
-    Permutations whose images coincide within 1e-12 are merged into a
-    single element with summed weight.
+    ``terms`` is the round's convex decomposition, a list of (weight q_m,
+    permutation P_m) pairs: the two terms of ``majorize.step_terms`` for a
+    one-step round, ``birkhoff_decompose`` of the grouped matrix otherwise.
+    Permutations whose images w_m = P_m target coincide within 1e-12 are
+    merged into one element with summed weight. The round's current vector
+    is what the merged terms rebuild, c = sum_m q_m w_m; element m has
+    diagonal q_m w_m / c on the support of c and 0 elsewhere, so the
+    elements sum to 1 on the support by construction. Measuring a
+    Schmidt-diagonal state with vector c gives outcome m with probability
+    q_m and post-measurement vector w_m; the recorded correction
+    permutation maps w_m back to ``target``.
     """
-    current = np.asarray(current, dtype=float).reshape(-1)
     target = np.asarray(target, dtype=float).reshape(-1)
-    terms = mix if isinstance(mix, list) else birkhoff_decompose(mix)
-    if not np.allclose(sum(q * target[perm] for q, perm in terms), current, atol=1e-9):
-        raise ValueError("the round does not map the target vector to current")
-    support = current > SUPPORT_TOL
     merged: list[list] = []
     for q, perm in terms:
         image = target[perm]
@@ -209,17 +203,15 @@ def js_povm(current, mix, target) -> DiagonalPOVM:
                 break
         else:
             merged.append([q, image, perm])
-    elements = []
-    corrections = []
-    for q, image, perm in merged:
-        diag = np.zeros_like(current)
-        diag[support] = q * image[support] / current[support]
-        elements.append(np.clip(diag, 0.0, 1.0))
-        corrections.append(np.asarray(perm, dtype=int))
-    total = sum(elements)
-    if np.max(np.abs(total[support] - 1.0)) > COMPLETENESS_TOL:
-        raise ArithmeticError("POVM completeness failed on the support")
-    return DiagonalPOVM(elements=elements, corrections=corrections)
+    parts = np.array([q * image for q, image, _ in merged])
+    current = parts.sum(axis=0)
+    support = current > SUPPORT_TOL
+    elements = np.zeros_like(parts)
+    elements[:, support] = parts[:, support] / current[support]
+    return DiagonalPOVM(
+        elements=list(np.clip(elements, 0.0, 1.0)),
+        corrections=[np.asarray(perm, dtype=int) for _, _, perm in merged],
+    )
 
 
 def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
@@ -464,8 +456,8 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     rounds = []
     for i in range(len(groups) - 1, -1, -1):
         chunk = steps[i * g : (i + 1) * g]
-        mix = step_terms(chunk[0], d) if len(chunk) == 1 else groups[i]
-        povm = js_povm(vectors[i + 1], mix, vectors[i])
+        terms = step_terms(chunk[0], d) if len(chunk) == 1 else birkhoff_decompose(groups[i])
+        povm = js_povm(terms, vectors[i])
         emb = embed_povm(povm)
         rounds.append(
             ScheduleRound(povm, emb, synthesize(emb), vectors[i + 1], vectors[i])

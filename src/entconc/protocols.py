@@ -296,29 +296,20 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float =
 
 
 def run_cec(
-    rho_a: np.ndarray, rho_b: np.ndarray, catalyst, g: int = 1, p_g: float = 0.0
+    rho_a: np.ndarray, rho_b: np.ndarray, catalyst: CatalystSpec, g: int = 1, p_g: float = 0.0
 ) -> ProtocolResult:
     """Concentrate two noisy pairs with the help of a catalyst pair.
 
-    ``catalyst`` is either a CatalystSpec (a fresh, pure catalyst) or the
-    density matrix of a catalyst pair, whose ideal is then the catalyst
-    with the Schmidt coefficients of its surrogate. The schedule is
-    compiled for the ideal catalyst, and the target returns it alongside
-    the Bell output; ``catalyst_post`` reports the catalyst pair's reduced
-    state on the success branch, and ``schedule`` the compiled schedule.
-    Raises ValueError unless both pairs and a density-matrix catalyst are
-    two-qubit density matrices.
+    ``catalyst`` is a CatalystSpec, a fresh pure catalyst. The schedule is
+    compiled for it, and the target returns it alongside the Bell output;
+    ``catalyst_post`` reports the catalyst pair's reduced state on the
+    success branch, and ``schedule`` the compiled schedule. Raises
+    ValueError unless both pairs are two-qubit density matrices.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
-    if isinstance(catalyst, CatalystSpec):
-        ideal = catalyst
-        cat_dm = np.outer(catalyst.state, catalyst.state.conj())
-    else:
-        (cat_dm,) = _pair_states(catalyst)
-        c1 = float(_schmidt_vector(surrogate(cat_dm))[0])
-        ideal = catalyst_from_schmidt(max(0.5, min(1.0, c1)))
-    schedule = compile_schedule(*cec_planning_states(rho_a, rho_b, ideal.state), g)
-    return _execute(schedule, [rho_a, rho_b, cat_dm], p_g, ideal)
+    cat_dm = np.outer(catalyst.state, catalyst.state.conj())
+    schedule = compile_schedule(*cec_planning_states(rho_a, rho_b, catalyst.state), g)
+    return _execute(schedule, [rho_a, rho_b, cat_dm], p_g, catalyst)
 
 
 def reuse_catalyst(

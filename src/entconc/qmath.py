@@ -62,19 +62,15 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dims_for(size: int, dims: Sequence[int] | None) -> tuple[int, ...]:
-    if dims is not None:
-        dims = tuple(int(d) for d in dims)
-        if int(np.prod(dims)) != size:
-            raise ValueError(f"dims {dims} do not multiply to size {size}")
-        return dims
+def _dims_for(size: int) -> tuple[int, ...]:
+    """Qubit dimensions (2, 2, ...) of a register of the given size."""
     n = int(round(np.log2(size)))
     if 2**n != size:
-        raise ValueError(f"size {size} is not a power of two; pass dims explicitly")
+        raise ValueError(f"size {size} is not a power of two")
     return (2,) * n
 
 
-def assert_density_matrix(rho: np.ndarray, atol: float = STRUCTURAL_TOL) -> None:
+def assert_density_matrix(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -84,8 +80,8 @@ def assert_density_matrix(rho: np.ndarray, atol: float = STRUCTURAL_TOL) -> None
     if abs(np.trace(rho).real - 1.0) > NORM_TOL:
         raise ValueError("density matrix trace differs from 1 beyond 1e-12")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -atol:
-        raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < -{atol}")
+    if evals.min() < -STRUCTURAL_TOL:
+        raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < -1e-10")
 
 
 def clip_unit(value, what: str):
@@ -111,19 +107,16 @@ def assert_pure_state(psi: np.ndarray) -> None:
         raise ValueError("pure state norm differs from 1 beyond 1e-12")
 
 
-def partial_trace(
-    rho: np.ndarray, keep: Sequence[int], dims: Sequence[int] | None = None
-) -> np.ndarray:
-    """Reduced state on the subsystems listed in ``keep``.
+def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Reduced state of a qubit register on the qubits listed in ``keep``.
 
     Parameters
     ----------
     rho : square complex array
-    keep : indices of the subsystems to keep, in their original order
-    dims : per-subsystem dimensions; defaults to an all-qubit register
+    keep : indices of the qubits to keep, in their original order
     """
     rho = np.asarray(rho, dtype=complex)
-    dims = _dims_for(rho.shape[0], dims)
+    dims = _dims_for(rho.shape[0])
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if keep and (keep[0] < 0 or keep[-1] >= n):
@@ -132,32 +125,27 @@ def partial_trace(
     t = rho.reshape(dims + dims)
     for i in reversed(traced):
         t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(2 ** len(keep), 2 ** len(keep))
 
 
-def permute_subsystems(
-    state: np.ndarray, perm: Sequence[int], dims: Sequence[int] | None = None
-) -> np.ndarray:
-    """Reorder subsystems of a vector or density matrix.
+def permute_subsystems(state: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+    """Reorder the qubits of a vector or density matrix.
 
-    ``perm[new_position] = old_position``: the subsystem found at
-    ``perm[i]`` in the input becomes subsystem ``i`` of the output.
+    ``perm[new_position] = old_position``: the qubit found at ``perm[i]``
+    in the input becomes qubit ``i`` of the output.
     """
     state = np.asarray(state, dtype=complex)
-    dims = _dims_for(state.shape[0], dims)
+    dims = _dims_for(state.shape[0])
     n = len(dims)
     perm = list(int(p) for p in perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    new_dims = [dims[p] for p in perm]
     if state.ndim == 1:
         t = state.reshape(dims).transpose(perm)
         return t.reshape(-1)
     t = state.reshape(dims + dims)
     t = t.transpose(perm + [n + p for p in perm])
-    d = int(np.prod(new_dims))
-    return t.reshape(d, d)
+    return t.reshape(state.shape)
 
 
 def _canonical_span(basis: np.ndarray) -> np.ndarray:
@@ -337,34 +325,26 @@ def top_eigenstate(rho: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def apply_channel(
-    rho: np.ndarray,
-    kraus: Sequence[np.ndarray],
-    on: int | Sequence[int],
-    dims: Sequence[int] | None = None,
+    rho: np.ndarray, kraus: Sequence[np.ndarray], on: int | Sequence[int]
 ) -> np.ndarray:
-    """Apply a Kraus channel to the subsystem(s) ``on`` of a density matrix.
+    """Apply a Kraus channel to the qubit(s) ``on`` of a density matrix.
 
     The Kraus set must be complete (sum K^dag K = I within 1e-10) on the
-    target subsystem; trace and positivity are preserved.
+    target qubits; trace and positivity are preserved.
     """
     rho = np.asarray(rho, dtype=complex)
-    dims = _dims_for(rho.shape[0], dims)
+    n = len(_dims_for(rho.shape[0]))
     targets = [int(on)] if np.isscalar(on) else [int(q) for q in on]
-    d_t = int(np.prod([dims[q] for q in targets]))
+    d_t = 2 ** len(targets)
     comp = sum(np.asarray(k, dtype=complex).conj().T @ np.asarray(k, dtype=complex) for k in kraus)
     if not np.allclose(comp, np.eye(d_t), atol=STRUCTURAL_TOL):
         raise ValueError("Kraus set is not complete within 1e-10")
-    n = len(dims)
-    rest = [i for i in range(n) if i not in targets]
-    perm = targets + rest
-    inv = np.argsort(perm)
-    moved = permute_subsystems(rho, perm, dims)
+    perm = targets + [i for i in range(n) if i not in targets]
+    moved = permute_subsystems(rho, perm)
     d_r = moved.shape[0] // d_t
     m4 = moved.reshape(d_t, d_r, d_t, d_r)
     out = np.zeros_like(m4)
     for k in kraus:
         k = np.asarray(k, dtype=complex)
         out += np.einsum("ab,bicj,dc->aidj", k, m4, k.conj())
-    out = out.reshape(moved.shape)
-    new_dims = [dims[p] for p in perm]
-    return permute_subsystems(out, list(inv), new_dims)
+    return permute_subsystems(out.reshape(moved.shape), list(np.argsort(perm)))

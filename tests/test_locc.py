@@ -26,7 +26,7 @@ from entconc import (
 )
 from entconc import majorize, qmath
 from entconc.locc import ScheduleRound
-from entconc.majorize import TTransform, expand_step, step_terms
+from entconc.majorize import TTransform, birkhoff_decompose, expand_ttransform
 from entconc.protocols import (
     _parties,
     cec_planning_states,
@@ -153,7 +153,7 @@ class TestKrausExecution:
 class TestJsPovm:
     def test_projective_case(self):
         dmat = 0.75 * np.eye(2) + 0.25 * swap2()
-        povm = js_povm(np.array([0.75, 0.25]), dmat, np.array([1.0, 0.0]))
+        povm = js_povm(birkhoff_decompose(dmat), np.array([1.0, 0.0]))
         assert len(povm.elements) == 2
         els = sorted(povm.elements, key=lambda e: -e[0])
         assert np.allclose(els[0], [1.0, 0.0], atol=1e-10)
@@ -163,7 +163,7 @@ class TestJsPovm:
 
     def test_flat_case(self):
         dmat = 0.5 * np.eye(2) + 0.5 * swap2()
-        povm = js_povm(np.array([0.5, 0.5]), dmat, np.array([0.75, 0.25]))
+        povm = js_povm(birkhoff_decompose(dmat), np.array([0.75, 0.25]))
         assert len(povm.elements) == 2
         els = sorted(povm.elements, key=lambda e: -e[0])
         assert np.allclose(els[0], [0.75, 0.25], atol=1e-10)
@@ -171,17 +171,11 @@ class TestJsPovm:
 
     def test_identity_trivial(self):
         v = np.array([0.6, 0.4])
-        povm = js_povm(v, np.eye(2), v)
+        povm = js_povm(birkhoff_decompose(np.eye(2)), v)
         assert len(povm.elements) == 1
         assert np.allclose(povm.elements[0], [1.0, 1.0], atol=1e-12)
 
-    def test_wrong_map_rejected(self):
-        with pytest.raises(ValueError):
-            js_povm(np.array([0.6, 0.4]), np.eye(2), np.array([0.5, 0.5]))
-
     def test_completeness_on_support(self, rng):
-        from entconc.majorize import TTransform, expand_ttransform
-
         d = 5
         beta = np.sort(rng.random(d))[::-1]
         beta = beta / beta.sum()
@@ -189,27 +183,40 @@ class TestJsPovm:
         for _ in range(3):
             j, k = sorted(rng.choice(d, size=2, replace=False))
             mix = expand_ttransform(TTransform(int(j), int(k), rng.random()), d) @ mix
-        cur = mix @ beta
-        povm = js_povm(cur, mix, beta)
+        povm = js_povm(birkhoff_decompose(mix), beta)
         total = sum(np.asarray(e) for e in povm.elements)
         assert np.allclose(total, 1.0, atol=1e-10)
 
-    def test_terms_give_the_matrix_povm(self):
-        step = (TTransform(0, 2, 0.7), TTransform(1, 3, 0.7))
-        target = np.array([0.4, 0.3, 0.2, 0.1])
-        mat = expand_step(step, 4)
-        from_terms = js_povm(mat @ target, step_terms(step, 4), target)
-        from_matrix = js_povm(mat @ target, mat, target)
-        for got, want in zip(
-            from_terms.elements + from_terms.corrections,
-            from_matrix.elements + from_matrix.corrections,
-        ):
-            assert np.array_equal(got, want)
 
-    def test_terms_must_map_the_target(self):
-        terms = step_terms((TTransform(0, 1, 0.7),), 2)
-        with pytest.raises(ValueError):
-            js_povm(np.array([0.6, 0.4]), terms, np.array([0.5, 0.5]))
+def assert_complete(schedule):
+    """Every round's elements sum to 1 within 1e-14 on the POVM support."""
+    for rnd in schedule.rounds:
+        total = np.sum(rnd.povm.elements, axis=0)
+        assert np.max(np.abs(total[rnd.povm.support] - 1.0)) <= 1e-14
+
+
+class TestPovmCompleteness:
+    """Grouped rounds build complete POVMs, also for near-product catalysts."""
+
+    @given(
+        a=st.floats(0.0, 0.3),
+        p_d=st.floats(0.0, 0.1),
+        log_gap=st.floats(-11.0, float(np.log10(0.4))),
+    )
+    @example(a=0.1, p_d=0.05, log_gap=-9.0)
+    def test_cec_with_near_product_catalysts(self, a, p_d, log_gap):
+        # the catalyst's smaller Schmidt coefficient 1 - c1 is log-uniform
+        rho = prepare_state(NoiseParams(a=a, p_d=p_d))
+        cat = catalyst_from_schmidt(1.0 - 10.0**log_gap)
+        planning = cec_planning_states(rho, rho, cat.state)
+        for g in (2, 3):
+            assert_complete(compile_schedule(*planning, g))
+
+    @given(d=st.sampled_from([4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_random_sources(self, d, seed):
+        psi = random_bipartite(np.random.default_rng(seed), d, d)
+        for g in (2, 3):
+            assert_complete(compile_schedule(psi, padded_bell(d), g))
 
 
 class TestDiagonalPovmValidation:
@@ -454,7 +461,7 @@ class TestFastPaths:
 class TestExecuteRound:
     def test_flat_round_branches(self):
         dmat = 0.5 * np.eye(2) + 0.5 * swap2()
-        povm = js_povm(np.array([0.5, 0.5]), dmat, np.array([0.75, 0.25]))
+        povm = js_povm(birkhoff_decompose(dmat), np.array([0.75, 0.25]))
         rnd = diag_round(povm)
         state = aux_state(schmidt_pair_state([0.5, 0.5]), 2)
         branches = execute_round(state, rnd, p_g=0.0)
@@ -470,7 +477,7 @@ class TestExecuteRound:
 
     def test_trivial_round(self):
         v = np.array([0.6, 0.4])
-        povm = js_povm(v, np.eye(2), v)
+        povm = js_povm(birkhoff_decompose(np.eye(2)), v)
         rnd = diag_round(povm)
         state = aux_state(schmidt_pair_state(v), 1)
         branches = execute_round(state, rnd, p_g=0.0)
@@ -481,7 +488,7 @@ class TestExecuteRound:
 
     def test_full_noise_preserves_trace(self):
         dmat = 0.5 * np.eye(2) + 0.5 * swap2()
-        povm = js_povm(np.array([0.5, 0.5]), dmat, np.array([0.75, 0.25]))
+        povm = js_povm(birkhoff_decompose(dmat), np.array([0.75, 0.25]))
         rnd = diag_round(povm)
         state = aux_state(schmidt_pair_state([0.5, 0.5]), 2)
         branches = execute_round(state, rnd, p_g=1.0)
@@ -501,7 +508,7 @@ class TestExecuteRound:
 
     def test_aux_must_start_in_zero(self):
         dmat = 0.5 * np.eye(2) + 0.5 * swap2()
-        povm = js_povm(np.array([0.5, 0.5]), dmat, np.array([0.75, 0.25]))
+        povm = js_povm(birkhoff_decompose(dmat), np.array([0.75, 0.25]))
         rnd = diag_round(povm)
         bad = np.zeros(8, dtype=complex)
         bad.reshape(2, 2, 2)[0, 1, 0] = 1.0
