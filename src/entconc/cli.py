@@ -123,20 +123,20 @@ def _parse_group_size(text: str) -> int:
 
 
 def _noise_params(args, axis_field: str | None = None, value: float | None = None):
+    """NoiseParams of the arguments.
+
+    The depolarizing weights are the squared coherent amplitudes; for the
+    default amplitudes, NoiseParams' own exact defaults (1/3 each).
+    """
     fields = {"a": args.a, "p_d": args.pd, "p_g": args.pg}
     if axis_field is not None:
         fields[axis_field] = value
-    coh = args.weights
-    depol = tuple(abs(w) ** 2 for w in coh)
-    depol = tuple(x / sum(depol) for x in depol)
+    if args.weights != NoiseParams.coh_weights:
+        depol = tuple(abs(w) ** 2 for w in args.weights)
+        fields["coh_weights"] = args.weights
+        fields["depol_weights"] = tuple(x / sum(depol) for x in depol)
     try:
-        return NoiseParams(
-            a=fields["a"],
-            coh_weights=coh,
-            p_d=fields["p_d"],
-            depol_weights=depol,
-            p_g=fields["p_g"],
-        )
+        return NoiseParams(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g", type=_parse_group_size, default=1,
                        help="transforms grouped per round (default 1)")
         p.add_argument("--weights", type=_parse_weights,
-                       default=(1 / math.sqrt(3),) * 3, metavar="ex,ez,ey",
+                       default=NoiseParams.coh_weights, metavar="ex,ez,ey",
                        help="coherent error amplitudes (normalized)")
 
     p_sweep = sub.add_parser("sweep", help="run protocols over a noise axis")

@@ -17,19 +17,20 @@ B-data...] with the auxiliary register prepared in the all-zeros state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .majorize import (
+    _vidal_gamma,
     birkhoff_decompose,
     fold_ttransforms,
     group_ttransforms,
     step_terms,
     t_transform_decompose,
-    vidal_intermediate,
     vidal_probability,
 )
 from .noise import depolarize
@@ -48,10 +49,13 @@ class DiagonalPOVM:
     with (P v)[i] = v[perm[i]]. On the support (positions where the
     diagonals sum to 1) the elements are complete; off-support positions
     carry 0 in every element and are routed to outcome 0 at execution time.
+    ``support`` is the boolean mask of the support, set by the
+    completeness check.
     """
 
     elements: list
     corrections: list
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) != len(self.corrections):
@@ -60,15 +64,10 @@ class DiagonalPOVM:
         if els.min() < -SUPPORT_TOL or els.max() > 1 + 1e-12:
             raise ValueError("POVM diagonal entries must lie in [0, 1]")
         total = els.sum(axis=0)
-        on = np.abs(total - 1.0) <= COMPLETENESS_TOL
-        off = np.abs(total) <= COMPLETENESS_TOL
-        if not np.all(on | off):
+        on = abs(total - 1.0) <= COMPLETENESS_TOL
+        if not (on | (abs(total) <= COMPLETENESS_TOL)).all():
             raise ValueError("POVM elements do not sum to identity on the support")
-
-    @property
-    def support(self) -> np.ndarray:
-        """Boolean mask of positions where the elements sum to 1."""
-        return np.sum(np.asarray(self.elements, dtype=float), axis=0) > 0.5
+        object.__setattr__(self, "support", on)
 
 
 @dataclass(frozen=True)
@@ -184,33 +183,33 @@ def js_povm(terms, target) -> DiagonalPOVM:
     ``terms`` is the round's convex decomposition, a list of (weight q_m,
     permutation P_m) pairs: the two terms of ``majorize.step_terms`` for a
     one-step round, ``birkhoff_decompose`` of the grouped matrix otherwise.
-    Permutations whose images w_m = P_m target coincide within 1e-12 are
-    merged into one element with summed weight. The round's current vector
-    is what the merged terms rebuild, c = sum_m q_m w_m; element m has
-    diagonal q_m w_m / c on the support of c and 0 elsewhere, so the
-    elements sum to 1 on the support by construction. Measuring a
-    Schmidt-diagonal state with vector c gives outcome m with probability
-    q_m and post-measurement vector w_m; the recorded correction
-    permutation maps w_m back to ``target``.
+    Terms whose images w_m = P_m target coincide within 1e-12 are merged
+    into one element with summed weight: each term joins the earliest term
+    within 1e-12 of it, followed on to a term that joins itself. The
+    round's current vector is what the merged terms rebuild,
+    c = sum_m q_m w_m; element m has diagonal q_m w_m / c on the support of
+    c and 0 elsewhere, so the elements sum to 1 on the support by
+    construction. Measuring a Schmidt-diagonal state with vector c gives
+    outcome m with probability q_m and post-measurement vector w_m; the
+    recorded correction permutation maps w_m back to ``target``.
     """
     target = np.asarray(target, dtype=float).reshape(-1)
-    merged: list[list] = []
-    for q, perm in terms:
-        image = target[perm]
-        for entry in merged:
-            if np.max(np.abs(entry[1] - image)) < 1e-12:
-                entry[0] += q
-                break
-        else:
-            merged.append([q, image, perm])
-    parts = np.array([q * image for q, image, _ in merged])
+    weights, perms = zip(*terms)
+    perms = np.asarray(perms, dtype=int)
+    images = target[perms]
+    near = abs(images[:, None] - images).max(axis=-1) < 1e-12
+    owner = near.argmax(axis=0)
+    while (owner[owner] != owner).any():
+        owner = owner[owner]
+    first = owner == np.arange(owner.size)
+    merged = np.bincount(owner, weights=weights, minlength=owner.size)[first]
+    parts = merged[:, None] * images[first]
     current = parts.sum(axis=0)
-    support = current > SUPPORT_TOL
-    elements = np.zeros_like(parts)
-    elements[:, support] = parts[:, support] / current[support]
+    elements = np.divide(
+        parts, current, out=np.zeros_like(parts), where=current > SUPPORT_TOL
+    )
     return DiagonalPOVM(
-        elements=list(np.clip(elements, 0.0, 1.0)),
-        corrections=[np.asarray(perm, dtype=int) for _, _, perm in merged],
+        elements=list(elements.clip(0.0, 1.0)), corrections=list(perms[first])
     )
 
 
@@ -230,26 +229,29 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     sqrt(a_0^j) Z + sqrt(a_1^j) X; the m elements of a grouped (g >= 2)
     round get the same unitary completion of their amplitude column.
     """
-    m = len(povm.elements)
     els = np.asarray(povm.elements, dtype=float)
+    m, d = els.shape
     on = povm.support
-    d = els.shape[1]
     k = max(1, math.ceil(math.log2(m))) if m > 1 else 0
     ka = 2**k
-    col = np.zeros((on.sum(), ka))
+    eye = np.eye(ka)
+    col = np.zeros((np.count_nonzero(on), ka))
     col[:, :m] = np.sqrt(els[:, on].T)
     v = -(col / np.sqrt(np.vecdot(col, col))[:, None])
     v[:, 0] += 1.0
     norm2 = np.vecdot(v, v)
     limit = norm2 < 1e-28
-    refl = np.eye(ka) - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(
+    refl = eye - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(
         limit, 1.0, norm2
     )[:, None, None]
-    refl[limit] = np.diag(np.where(np.arange(ka) == 1, -1.0, 1.0))
-    blocks = np.tile(np.eye(ka), (d, 1, 1))
-    blocks[on] = refl
-    if not np.allclose(blocks @ blocks.swapaxes(1, 2), np.eye(ka), atol=1e-10):
+    if limit.any():
+        refl[limit] = np.diag(np.where(np.arange(ka) == 1, -1.0, 1.0))
+    # np.allclose(refl refl^T, I, atol=1e-10) written out; the off-support
+    # blocks are I exactly
+    if not (abs(refl @ refl.swapaxes(1, 2) - eye) <= 1e-10 + 1e-5 * eye).all():
         raise ArithmeticError("embedding block is not unitary")
+    blocks = eye[None].repeat(d, axis=0)
+    blocks[on] = refl
     return EmbeddingUnitary(d, k, m, blocks, on)
 
 
@@ -270,10 +272,10 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
         raise ValueError("data dimension must be a power of two for synthesis")
     touched = tuple(range(n_data + k))
     per_block = 2 * (emb.n_outcomes - 1)
-    on = np.flatnonzero(emb.support) if emb.n_outcomes > 1 else []
-    return SynthesisReport(blocks=[
-        SynthesisBlock(int(j), emb.blocks[j], d, per_block, touched) for j in on
-    ])
+    on = np.flatnonzero(emb.support).tolist() if emb.n_outcomes > 1 else []
+    return SynthesisReport(blocks=list(map(
+        SynthesisBlock, on, emb.blocks[on], repeat(d), repeat(per_block), repeat(touched)
+    )))
 
 
 def _gate_noise(rho: np.ndarray, rnd: ScheduleRound, p_g: float, n_qubits: int):
@@ -440,18 +442,18 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
         alpha_dec.right_basis,
     )
     alpha, beta = alpha_dec.coefficients, beta_dec.coefficients
-    if np.sum(beta > 1e-12) > np.sum(alpha > 1e-12):
+    if np.count_nonzero(beta > 1e-12) > np.count_nonzero(alpha > 1e-12):
         raise ValueError("target Schmidt rank exceeds the source rank")
     d = alpha.size
     r = vidal_probability(alpha, beta)
-    gamma = vidal_intermediate(alpha, beta)
-    transforms = t_transform_decompose(alpha, gamma)
-    steps = fold_ttransforms(transforms)
+    gamma = _vidal_gamma(alpha, beta, r)
+    steps = fold_ttransforms(t_transform_decompose(alpha, gamma))
     groups = group_ttransforms(steps, g, d)
     vectors = [gamma]
     for mat in groups:
         vectors.append(mat @ vectors[-1])
-    if not np.allclose(vectors[-1], alpha, atol=1e-9):
+    # np.allclose(vectors[-1], alpha, atol=1e-9) written out
+    if not np.all(np.abs(vectors[-1] - alpha) <= 1e-9 + 1e-5 * np.abs(alpha)):
         raise ArithmeticError("grouped transforms do not reproduce the source")
     rounds = []
     for i in range(len(groups) - 1, -1, -1):

@@ -49,6 +49,8 @@ def _as_schmidt(v) -> np.ndarray:
 def _pad_pair(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
     a = _as_schmidt(alpha)
     b = _as_schmidt(beta)
+    if a.size == b.size:
+        return a, b
     d = max(a.size, b.size)
     a = np.concatenate([a, np.zeros(d - a.size)])
     b = np.concatenate([b, np.zeros(d - b.size)])
@@ -62,7 +64,11 @@ def is_majorized(alpha, beta) -> bool:
     deterministic LOCC conversion from a state with Schmidt vector ``alpha``
     to one with ``beta`` exists. Sums are compared within SUM_TOL.
     """
-    a, b = _pad_pair(alpha, beta)
+    return _majorized(*_pad_pair(alpha, beta))
+
+
+def _majorized(a: np.ndarray, b: np.ndarray) -> bool:
+    """``is_majorized`` of checked, equal-length a and b."""
     ca, cb = np.cumsum(a), np.cumsum(b)
     if abs(ca[-1] - cb[-1]) > SUM_TOL:
         return False
@@ -71,7 +77,7 @@ def is_majorized(alpha, beta) -> bool:
 
 def _tails(v: np.ndarray) -> np.ndarray:
     """Suffix sums E_l = sum_{i >= l} along the last axis, for l = 0..d-1."""
-    return np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
+    return v[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
 
 def vidal_probability(alpha, beta):
@@ -94,7 +100,7 @@ def vidal_probability(alpha, beta):
     if ta.shape[-1] < d:
         ta = np.concatenate([ta, np.zeros(ta.shape[:-1] + (d - ta.shape[-1],))], axis=-1)
     ta = ta[..., :d]
-    ratio = np.full(np.broadcast_shapes(ta.shape, tb.shape), np.inf)
+    ratio = np.full(np.broadcast(ta, tb).shape, np.inf)
     np.divide(ta, tb, out=ratio, where=tb > 1e-14)
     return clip_unit(np.where(unreachable, 0.0, ratio.min(axis=-1)), "conversion probability")
 
@@ -106,14 +112,20 @@ def vidal_intermediate(alpha, beta) -> np.ndarray:
     alpha -> gamma (requires is_majorized(alpha, gamma)) followed by a
     single local filter gamma -> beta succeeding with probability
     r = vidal_probability(alpha, beta) = min_i gamma_i / beta_i.
-
-    Built from the running minimum of f_l = E_l(alpha) - r E_l(beta):
-    gamma_l = h_l - h_{l+1} + r beta_l with h the running minimum of f.
-    The result is sorted descending; when alpha is already majorized by
-    beta it equals beta exactly.
+    See ``_vidal_gamma`` for the construction.
     """
     a, b = _pad_pair(alpha, beta)
-    r = vidal_probability(a, b)
+    return _vidal_gamma(a, b, vidal_probability(a, b))
+
+
+def _vidal_gamma(a: np.ndarray, b: np.ndarray, r) -> np.ndarray:
+    """``vidal_intermediate`` of checked, equal-length a and b at r.
+
+    r must be vidal_probability(a, b). Built from the running minimum of
+    f_l = E_l(a) - r E_l(b): gamma_l = h_l - h_{l+1} + r b_l with h the
+    running minimum of f. The result is sorted descending; when a is
+    already majorized by b it equals b exactly.
+    """
     if r == 0.0:
         raise ValueError("target rank exceeds source rank; no conversion")
     d = a.size
@@ -140,23 +152,23 @@ def t_transform_decompose(alpha, beta) -> list[TTransform]:
     levels whichever gap is smaller. Requires is_majorized(alpha, beta).
     """
     a, b = _pad_pair(alpha, beta)
-    if not is_majorized(a, b):
+    if not _majorized(a, b):
         raise ValueError("alpha is not majorized by beta")
-    d = a.size
     out: list[TTransform] = []
     cur = b.copy()
-    for _ in range(d - 1):
-        if np.max(np.abs(cur - a)) < 1e-13:
+    above, below = a + 1e-13, a - 1e-13
+    for _ in range(a.size - 1):
+        if abs(cur - a).max() < 1e-13:
             break
-        j = int(np.argmax(cur > a + 1e-13))
-        k = j + 1 + int(np.argmax(cur[j + 1 :] < a[j + 1 :] - 1e-13))
-        delta = min(cur[j] - a[j], a[k] - cur[k])
-        t = 1.0 - delta / (cur[j] - cur[k])
-        out.append(TTransform(j, k, float(t)))
-        nj = t * cur[j] + (1 - t) * cur[k]
-        nk = (1 - t) * cur[j] + t * cur[k]
-        cur[j], cur[k] = nj, nk
-    if np.max(np.abs(cur - a)) > RECON_TOL:
+        j = int((cur > above).argmax())
+        k = j + 1 + int((cur[j + 1 :] < below[j + 1 :]).argmax())
+        cj, ck = cur.item(j), cur.item(k)
+        delta = min(cj - a.item(j), a.item(k) - ck)
+        t = 1.0 - delta / (cj - ck)
+        out.append(TTransform(j, k, t))
+        cur[j] = t * cj + (1 - t) * ck
+        cur[k] = (1 - t) * cj + t * ck
+    if abs(cur - a).max() > RECON_TOL:
         raise ArithmeticError("T-transform chain failed to reach the target")
     return out
 
@@ -331,20 +343,21 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     d = m.shape[0]
     if m.shape != (d, d) or m.min() < -RECON_TOL:
         raise ValueError("not a nonnegative square matrix")
-    if not (
-        np.allclose(m.sum(axis=0), 1.0, atol=1e-9)
-        and np.allclose(m.sum(axis=1), 1.0, atol=1e-9)
-    ):
+    # np.allclose(sums, 1, atol=1e-9), written out: |x - 1| <= 1e-9 + 1e-5
+    sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
+    if not np.all(np.abs(sums - 1.0) <= 1e-9 + 1e-5):
         raise ValueError("matrix is not doubly stochastic")
     terms: list[tuple[float, np.ndarray]] = []
     bound = (d - 1) ** 2 + 1
+    rows = np.arange(d)
     for _ in range(bound + 1):
         resid = m.max()
         if resid < 1e-13:
             break
         perm = _lex_bottleneck_matching(m)
-        q = float(m[np.arange(d), perm].min())
-        m[np.arange(d), perm] -= q
+        picked = m[rows, perm]
+        q = float(picked.min())
+        m[rows, perm] = picked - q
         m[m < 1e-15] = 0.0
         terms.append((q, perm))
     else:

@@ -18,6 +18,7 @@ Conversion runners:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -284,9 +285,18 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float =
     point wins. So ties go to the least entangled catalyst, and
     deterministically convertible inputs return the product catalyst
     (1, 0). ``achieved_probability`` is the best score on the grid.
+    Raises ValueError unless ``resolution`` is finite and positive and the
+    grid 0.5 + i * resolution, i = 0..round(0.5 / resolution), ends at or
+    below 1 (within 1e-12).
     """
-    sigma, tau = _schmidt_vector(surrogate), _schmidt_vector(target)
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     c1 = 0.5 + np.arange(int(round(0.5 / resolution)) + 1) * resolution
+    if c1[-1] > 1.0 + 1e-12:
+        raise ValueError(
+            f"resolution {resolution!r} puts the c1 grid at {float(c1[-1])!r}, past 1"
+        )
+    sigma, tau = _schmidt_vector(surrogate), _schmidt_vector(target)
     cat = np.stack([c1, 1.0 - c1], axis=1)
     joint = (np.sort(np.einsum("i,cj->cij", v, cat).reshape(c1.size, -1)) for v in (sigma, tau))
     p = vidal_probability(*(rows[:, ::-1] for rows in joint))

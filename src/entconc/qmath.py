@@ -19,6 +19,7 @@ probability or fidelity may carry past [0, 1] (``clip_unit``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple, Sequence
 
@@ -96,7 +97,7 @@ def clip_unit(value, what: str):
     if not inside.all():
         bad = float(arr[~inside].flat[0])
         raise ArithmeticError(f"{what} {bad!r} lies outside [0, 1] beyond {UNIT_TOL}")
-    arr = np.clip(arr, 0.0, 1.0)
+    arr = arr.clip(0.0, 1.0)
     return float(arr) if arr.ndim == 0 else arr
 
 
@@ -149,30 +150,44 @@ def permute_subsystems(state: np.ndarray, perm: Sequence[int]) -> np.ndarray:
 
 
 def _canonical_span(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(basis) built from the coordinate axes.
+    """Coordinates Q of the canonical orthonormal basis ``basis @ Q`` of span(basis).
 
-    Projects e_0, e_1, ... onto the span in index order and keeps each
-    projection that survives Gram-Schmidt against the earlier ones, so the
-    result depends only on the span, not on the columns given for it.
+    ``basis`` has orthonormal columns. The canonical basis projects e_0,
+    e_1, ... onto the span in index order and keeps each projection that
+    survives Gram-Schmidt against the earlier ones, so it depends only on
+    the span, not on the columns given for it. The work is done in the
+    span's coordinates, where axis j projects to column j of
+    conj(basis)^T: all axes after the last kept one are orthogonalized at
+    once, twice, against the matrix of the kept vectors, and the first
+    whose remainder is longer than PIN_TOL is kept next. Q is unitary; for
+    a line it is the phase that makes the first entry above PIN_TOL real.
     """
-    proj = basis @ basis.conj().T
-    out = []
-    for axis in range(proj.shape[0]):
-        v = proj[:, axis].copy()
-        for _ in range(2):
-            for u in out:
-                v -= u * (u.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > PIN_TOL:
-            out.append(v / norm)
-            if len(out) == basis.shape[1]:
-                break
-    if len(out) != basis.shape[1]:
-        raise ArithmeticError("could not complete a canonical basis")
-    return np.stack(out, axis=1)
+    k = basis.shape[1]
+    if k == 1:
+        mag = abs(basis[:, 0])
+        j = int((mag > PIN_TOL).argmax())
+        if not mag[j] > PIN_TOL:
+            raise ArithmeticError("could not complete a canonical basis")
+        return np.array([[basis[j, 0].conjugate() / mag[j]]])
+    rest = basis.conj().T
+    kept = np.empty((k, k), dtype=complex)
+    kept_h = np.empty((k, k), dtype=complex)  # rows: conj(kept) columns
+    for found in range(k):
+        if found:
+            q, q_h = kept[:, :found], kept_h[:found]
+            rest = rest - q @ (q_h @ rest)
+            rest = rest - q @ (q_h @ rest)
+        norm2 = np.vecdot(rest, rest, axis=0).real
+        j = int((norm2 > PIN_TOL**2).argmax()) if norm2.size else 0
+        if j >= norm2.size or not norm2[j] > PIN_TOL**2:
+            raise ArithmeticError("could not complete a canonical basis")
+        kept[:, found] = rest[:, j] / math.sqrt(norm2[j])
+        kept_h[found] = kept[:, found].conj()
+        rest = rest[:, j + 1 :]
+    return kept
 
 
-def _pin_block(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def _pin_block(basis: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, int]:
     """Unitary W that brings the columns of ``basis @ W`` closest to ``reference``.
 
     W is the polar factor of basis^dagger reference, which maximizes
@@ -183,16 +198,35 @@ def _pin_block(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
     span of ``basis``; it is deterministic, and continuous away from the
     thresholds: the matched rank flips where an overlap singular value
     crosses PIN_TOL, and ``_canonical_span`` switches axes where a
-    projection norm does.
+    projection norm does. Returns W and the matched rank.
     """
     u, s, vh = np.linalg.svd(basis.conj().T @ reference)
-    r = int(np.sum(s > PIN_TOL))
+    r = int(np.count_nonzero(s > PIN_TOL))
     w = u[:, :r] @ vh[:r]
     if r < s.size:
         leftover = _canonical_span(basis @ u[:, r:])
         unmatched = _canonical_span(vh[r:].conj().T)
-        w = w + (basis.conj().T @ leftover) @ unmatched.conj().T
-    return w
+        w = w + u[:, r:] @ (leftover @ unmatched.conj().T) @ vh[r:]
+    return w, r
+
+
+def _gauge_blocks(s: np.ndarray) -> list[tuple[int, int]]:
+    """Blocks [i, j) of numerically equal nonzero singular values.
+
+    A block runs from its first value s[i] while s[i] - s[j] stays below
+    DEGENERACY_TOL; values below DEGENERACY_TOL are in no block.
+    """
+    vals = s.tolist()
+    nonzero = sum(v >= DEGENERACY_TOL for v in vals)
+    blocks = []
+    i = 0
+    while i < nonzero:
+        j = i + 1
+        while j < nonzero and vals[i] - vals[j] < DEGENERACY_TOL:
+            j += 1
+        blocks.append((i, j))
+        i = j
+    return blocks
 
 
 def _fix_degenerate_gauge(
@@ -201,7 +235,7 @@ def _fix_degenerate_gauge(
     right: np.ndarray,
     ref_left: np.ndarray | None = None,
     ref_right: np.ndarray | None = None,
-) -> None:
+) -> list[tuple[int, int, int]]:
     """Pin the SVD bases on blocks of (numerically) equal singular values.
 
     Equal singular values leave the bases free up to a shared unitary W on
@@ -210,31 +244,48 @@ def _fix_degenerate_gauge(
     Each block is rotated in place so its left columns come as close as
     possible to the same columns of ``ref_left`` (the polar-factor pin of
     ``_pin_block``); the reference defaults to the identity, the
-    computational basis. Columns past the last nonzero singular value carry
-    no amplitude, so there the left and right bases are pinned
+    computational basis. All single-value blocks are pinned in one pass by
+    their 1x1 polar factor z/|z|, z the overlap of the column with its
+    reference column; one with |z| <= PIN_TOL, and every larger block, goes
+    through ``_pin_block``. Columns past the last nonzero singular value
+    carry no amplitude, so there the left and right bases are pinned
     independently, to ``ref_left`` and ``ref_right``. Rank-deficient
     overlaps are completed from the coordinate axes, so the gauge is
     deterministic, and continuous in the input away from PIN_TOL.
+
+    Returns (start, stop, matched rank) of every pin: the blocks in order,
+    then the zero columns of ``left`` and of ``right`` if there are any.
     """
     if ref_left is None:
         ref_left = np.eye(left.shape[0])
     if ref_right is None:
         ref_right = np.eye(right.shape[0])
-    nonzero = int(np.sum(s >= DEGENERACY_TOL))
-    i = 0
-    while i < nonzero:
-        j = i + 1
-        while j < nonzero and s[i] - s[j] < DEGENERACY_TOL:
-            j += 1
-        w = _pin_block(left[:, i:j], ref_left[:, i:j])
-        left[:, i:j] = left[:, i:j] @ w
-        right[:, i:j] = right[:, i:j] @ w.conj()
-        i = j
+    blocks = _gauge_blocks(s)
+    singles = [i for i, j in blocks if j == i + 1]
+    rank = {}
+    if singles:
+        z = np.vecdot(left[:, singles], ref_left[:, singles], axis=0)
+        mag = np.abs(z)
+        pinned = mag > PIN_TOL
+        phase = np.divide(z, mag, out=np.ones_like(z), where=pinned)
+        left[:, singles] *= phase
+        right[:, singles] *= phase.conj()
+        rank = dict(zip(singles, pinned.tolist()))
+    pins = []
+    for i, j in blocks:
+        r = int(rank.get(i, 0))
+        if not r:
+            w, r = _pin_block(left[:, i:j], ref_left[:, i:j])
+            left[:, i:j] = left[:, i:j] @ w
+            right[:, i:j] = right[:, i:j] @ w.conj()
+        pins.append((i, j, r))
+    nonzero = blocks[-1][1] if blocks else 0
     for basis, ref in ((left, ref_left), (right, ref_right)):
         if nonzero < basis.shape[1]:
-            basis[:, nonzero:] = basis[:, nonzero:] @ _pin_block(
-                basis[:, nonzero:], ref[:, nonzero:]
-            )
+            w, r = _pin_block(basis[:, nonzero:], ref[:, nonzero:])
+            basis[:, nonzero:] = basis[:, nonzero:] @ w
+            pins.append((nonzero, basis.shape[1], r))
+    return pins
 
 
 def schmidt_decompose(

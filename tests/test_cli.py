@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from entconc import cli
+from entconc import NoiseParams, cli, prepare_state
 from entconc.cli import main, COLUMNS, CSV_VERSION
 
 
@@ -214,6 +214,22 @@ class TestSweep:
         ])
         assert code == 3
         assert "trace" in capsys.readouterr().err
+
+
+class TestDefaultWeights:
+    @pytest.mark.parametrize("p_d", [0.05, 0.75, 1.0])
+    def test_state_equals_noise_params_default(self, p_d):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--axis", "pd", "--range", f"{p_d}:{p_d}:1", "--a", "0.1", "--pd", str(p_d)]
+        )
+        got = prepare_state(cli._noise_params(args))
+        assert np.array_equal(got, prepare_state(NoiseParams(a=0.1, p_d=p_d)))
+
+    def test_header_prints_default_weights(self, tmp_path):
+        out = tmp_path / "s.csv"
+        main(["sweep", "--axis", "pd", "--range", "0:0:1", "--out", str(out)])
+        comments, _, _ = read_rows(out)
+        assert comments[1].endswith(" weights=0.57735026919,0.57735026919,0.57735026919")
 
 
 class TestCompile:

@@ -350,6 +350,83 @@ class TestEmbedBatch:
             assert np.array_equal(emb.blocks[j], want)
 
 
+def reference_js_povm(terms, target):
+    """Elements and corrections of a round, one term and one merge at a time."""
+    target = np.asarray(target, dtype=float).reshape(-1)
+    merged = []
+    for q, perm in terms:
+        image = target[perm]
+        for entry in merged:
+            if np.max(np.abs(entry[1] - image)) < 1e-12:
+                entry[0] += q
+                break
+        else:
+            merged.append([q, image, perm])
+    parts = np.array([q * image for q, image, _ in merged])
+    current = parts.sum(axis=0)
+    support = current > 1e-12
+    elements = np.zeros_like(parts)
+    elements[:, support] = parts[:, support] / current[support]
+    corrections = [np.asarray(perm, dtype=int) for _, _, perm in merged]
+    return list(np.clip(elements, 0.0, 1.0)), corrections
+
+
+def reference_embed_blocks(elements):
+    """Dilation blocks of a POVM, built over all data indices and checked whole."""
+    els = np.asarray(elements, dtype=float)
+    m, d = els.shape
+    on = els.sum(axis=0) > 0.5
+    k = max(1, int(np.ceil(np.log2(m)))) if m > 1 else 0
+    ka = 2**k
+    col = np.zeros((on.sum(), ka))
+    col[:, :m] = np.sqrt(els[:, on].T)
+    v = -(col / np.sqrt(np.vecdot(col, col))[:, None])
+    v[:, 0] += 1.0
+    norm2 = np.vecdot(v, v)
+    limit = norm2 < 1e-28
+    refl = np.eye(ka) - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(
+        limit, 1.0, norm2
+    )[:, None, None]
+    refl[limit] = np.diag(np.where(np.arange(ka) == 1, -1.0, 1.0))
+    blocks = np.tile(np.eye(ka), (d, 1, 1))
+    blocks[on] = refl
+    assert np.allclose(blocks @ blocks.swapaxes(1, 2), np.eye(ka), atol=1e-10)
+    return blocks, on
+
+
+class TestRoundReference:
+    """Round building matches its loop form on every round of the golden inputs."""
+
+    def test_rounds_equal_loop_form(self, monkeypatch):
+        from test_golden import GROUPS, _inputs
+
+        import entconc.locc as locc
+
+        seen = []
+        build = locc.js_povm
+
+        def record(terms, target):
+            seen.append((terms, target))
+            return build(terms, target)
+
+        monkeypatch.setattr(locc, "js_povm", record)
+        for src, tgt in _inputs().values():
+            for g in GROUPS:
+                compile_schedule(src, tgt, g)
+        assert max(len(terms) for terms, _ in seen) > 2
+        for terms, target in seen:
+            povm = js_povm(terms, target)
+            want_elements, want_corrections = reference_js_povm(terms, target)
+            assert len(povm.elements) == len(want_elements)
+            assert all(map(np.array_equal, povm.elements, want_elements))
+            assert all(map(np.array_equal, povm.corrections, want_corrections))
+            emb = embed_povm(povm)
+            want_blocks, want_support = reference_embed_blocks(want_elements)
+            assert np.array_equal(emb.blocks, want_blocks)
+            assert np.array_equal(emb.support, want_support)
+            assert np.array_equal(povm.support, want_support)
+
+
 class TestSynthesize:
     def test_identity_blocks_free(self):
         povm = DiagonalPOVM(

@@ -184,6 +184,17 @@ class TestFindCatalyst:
         if seed < 0:
             assert c1 == 1.0 and prob == 1.0
 
+    @pytest.mark.parametrize("resolution", [0.0, -1e-4, 0.7, 3e-4, float("nan"), float("inf")])
+    def test_bad_resolution_raises(self, resolution):
+        rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+        with pytest.raises(ValueError, match="resolution"):
+            find_catalyst(joint_surrogate(rho, rho), PHI_PLUS, resolution)
+
+    def test_coarse_grid_inside_range_is_accepted(self):
+        rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+        spec = find_catalyst(joint_surrogate(rho, rho), PHI_PLUS, 0.4)
+        assert spec.schmidt[0] in (0.5, 0.9)
+
     def test_one_probability_call(self, monkeypatch):
         calls = []
         score = protocols.vidal_probability

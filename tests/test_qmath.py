@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_bipartite, random_pure_state
+
+import entconc.qmath as qmath
 
 from entconc import (
     PAULI_X,
@@ -160,6 +163,176 @@ class TestSchmidtDecompose:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             schmidt_decompose(PHI_PLUS, 2, 4)
+
+
+def reference_canonical_span(basis):
+    """Canonical basis of span(basis), one axis and one kept vector at a time.
+
+    The loop form of ``qmath._canonical_span``, which returns the
+    coordinates Q of this basis, basis @ Q.
+    """
+    proj = basis @ basis.conj().T
+    out = []
+    for axis in range(proj.shape[0]):
+        v = proj[:, axis].copy()
+        for _ in range(2):
+            for u in out:
+                v -= u * (u.conj() @ v)
+        norm = np.linalg.norm(v)
+        if norm > qmath.PIN_TOL:
+            out.append(v / norm)
+            if len(out) == basis.shape[1]:
+                break
+    if len(out) != basis.shape[1]:
+        raise ArithmeticError("could not complete a canonical basis")
+    return np.stack(out, axis=1)
+
+
+def reference_pin_block(basis, reference):
+    """Polar-factor pin through an SVD, whatever the block's width."""
+    u, s, vh = np.linalg.svd(basis.conj().T @ reference)
+    r = int(np.sum(s > qmath.PIN_TOL))
+    w = u[:, :r] @ vh[:r]
+    if r < s.size:
+        leftover = reference_canonical_span(basis @ u[:, r:])
+        unmatched = reference_canonical_span(vh[r:].conj().T)
+        w = w + (basis.conj().T @ leftover) @ unmatched.conj().T
+    return w, r
+
+
+def reference_gauge(s, left, right, ref_left=None, ref_right=None):
+    """The block-by-block loop form of ``qmath._fix_degenerate_gauge``.
+
+    Every block, single values included, is pinned by its own SVD. Returns
+    the same (start, stop, matched rank) record.
+    """
+    if ref_left is None:
+        ref_left = np.eye(left.shape[0])
+    if ref_right is None:
+        ref_right = np.eye(right.shape[0])
+    nonzero = int(np.sum(s >= qmath.DEGENERACY_TOL))
+    pins = []
+    i = 0
+    while i < nonzero:
+        j = i + 1
+        while j < nonzero and s[i] - s[j] < qmath.DEGENERACY_TOL:
+            j += 1
+        w, r = reference_pin_block(left[:, i:j], ref_left[:, i:j])
+        left[:, i:j] = left[:, i:j] @ w
+        right[:, i:j] = right[:, i:j] @ w.conj()
+        pins.append((i, j, r))
+        i = j
+    for basis, ref in ((left, ref_left), (right, ref_right)):
+        if nonzero < basis.shape[1]:
+            w, r = reference_pin_block(basis[:, nonzero:], ref[:, nonzero:])
+            basis[:, nonzero:] = basis[:, nonzero:] @ w
+            pins.append((nonzero, basis.shape[1], r))
+    return pins
+
+
+def random_unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def coordinate_frame(rng, d):
+    """Permuted coordinate axes with random phases."""
+    return np.eye(d)[:, rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+
+
+def gauge_case(seed, d, pattern, reference):
+    """SVD output of a d x d amplitude matrix and a frame to pin it to.
+
+    pattern: "generic" Schmidt coefficients, "repeated" (blocks of equal
+    values), "zeros" (a Bell pair padded into d x d, as a padded target),
+    or "product" (a product catalyst: two equal pairs times (1, 0)).
+    reference: "identity", "random" unitaries, or "near_pin": each left
+    reference column turned off its own SVD column towards the next one,
+    so that their overlap is PIN_TOL times a factor in [0.3, 0.9] or
+    [1.1, 3.3]. The near_pin frames are coordinate-aligned, as padded
+    targets and product catalysts make them, so each overlap is one exact
+    product: on dense frames an overlap of 1e-8 carries a rounding error of
+    about 1e-16, so its phase is fixed only to about 1e-8 in any summation
+    order.
+    """
+    rng = np.random.default_rng(seed)
+    if pattern == "zeros":
+        coeffs = np.zeros(d)
+        coeffs[:2] = 0.5
+    elif pattern == "product":
+        pair = rng.random(2) + 0.1
+        coeffs = np.zeros(d)
+        coeffs[: d // 2] = np.repeat(pair / pair.sum(), d // 4 or 1)[: d // 2]
+        coeffs /= coeffs.sum()
+    else:
+        coeffs = rng.random(d) + 0.05
+        if pattern == "repeated":
+            coeffs[1 : 1 + d // 2] = coeffs[1]
+        coeffs /= coeffs.sum()
+    if reference == "near_pin" or (pattern in ("zeros", "product") and seed % 2):
+        u, v = coordinate_frame(rng, d), coordinate_frame(rng, d)
+    else:
+        u, v = random_unitary(rng, d), random_unitary(rng, d)
+    psi = (u * np.sqrt(coeffs)) @ v.T
+    uu, s, vh = np.linalg.svd(psi / np.linalg.norm(psi))
+    left, right = uu.copy(), vh.T.copy()
+    if reference == "identity":
+        return s, left, right, ()
+    if reference == "random":
+        return s, left, right, (random_unitary(rng, d), random_unitary(rng, d))
+    factors = rng.uniform(0.3, 0.9, d) * np.where(rng.random(d) < 0.5, 1.0, 11.0 / 3.0)
+    c = qmath.PIN_TOL * factors
+    turned = c * left + np.sqrt(1.0 - c**2) * np.roll(left, -1, axis=1)
+    return s, left, right, (turned * np.exp(2j * np.pi * rng.random(d)), random_unitary(rng, d))
+
+
+class TestGaugeReference:
+    """The one-pass gauge pin agrees with the block-by-block SVD loop."""
+
+    @settings(max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 4, 8]),
+        pattern=st.sampled_from(["generic", "repeated", "zeros", "product"]),
+        reference=st.sampled_from(["identity", "random", "near_pin"]),
+    )
+    @example(seed=1, d=4, pattern="zeros", reference="identity")
+    @example(seed=1, d=8, pattern="product", reference="random")
+    @example(seed=2, d=8, pattern="generic", reference="near_pin")
+    def test_matches_loop(self, seed, d, pattern, reference):
+        s, left, right, refs = gauge_case(seed, d, pattern, reference)
+        want_left, want_right = left.copy(), right.copy()
+        want = reference_gauge(s, want_left, want_right, *refs)
+        got = qmath._fix_degenerate_gauge(s, left, right, *refs)
+        assert got == want
+        assert np.max(np.abs(left - want_left)) <= 1e-13
+        assert np.max(np.abs(right - want_right)) <= 1e-13
+
+    def test_near_pin_overlaps_take_both_paths(self):
+        # the single-value pass pins overlaps above PIN_TOL and leaves the
+        # ones below to the canonical completion
+        ranks = set()
+        for seed in range(20):
+            s, left, right, refs = gauge_case(seed, 8, "generic", "near_pin")
+            ranks |= {r for _, _, r in qmath._fix_degenerate_gauge(s, left, right, *refs)}
+        assert ranks == {0, 1}
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+    @example(seed=0, k=4)
+    def test_canonical_span_matches_loop(self, seed, k):
+        rng = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            basis = np.eye(8, dtype=complex)[:, rng.permutation(8)[:k]]
+        else:
+            basis = random_unitary(rng, 8)[:, :k]
+        got = basis @ qmath._canonical_span(basis)
+        assert np.max(np.abs(got - reference_canonical_span(basis))) <= 1e-13
+
+    def test_nondegenerate_source_runs_one_svd(self, rng, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        schmidt_decompose(random_bipartite(rng, 8, 8), 8, 8)
+        assert len(calls) == 1
 
 
 class TestFidelity:
