@@ -40,6 +40,10 @@ COMPLETENESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
 
 
+def _is_permutation(perm, d: int) -> bool:
+    return np.shape(perm) == (d,) and (np.sort(perm) == np.arange(d)).all()
+
+
 @dataclass(frozen=True)
 class DiagonalPOVM:
     """Diagonal measurement with classical correction permutations.
@@ -50,7 +54,7 @@ class DiagonalPOVM:
     diagonals sum to 1) the elements are complete; off-support positions
     carry 0 in every element and are routed to outcome 0 at execution time.
     ``support`` is the boolean mask of the support, set by the
-    completeness check.
+    completeness check. Each correction must be a permutation of range(d).
     """
 
     elements: list
@@ -61,6 +65,8 @@ class DiagonalPOVM:
         if len(self.elements) != len(self.corrections):
             raise ValueError("need one correction permutation per element")
         els = np.asarray(self.elements, dtype=float)
+        if not all(_is_permutation(p, els.shape[-1]) for p in self.corrections):
+            raise ValueError("each correction must be a permutation of range(d)")
         if els.min() < -SUPPORT_TOL or els.max() > 1 + 1e-12:
             raise ValueError("POVM diagonal entries must lie in [0, 1]")
         total = els.sum(axis=0)
@@ -94,22 +100,11 @@ class EmbeddingUnitary:
 
 
 class SynthesisBlock(NamedTuple):
-    """Auxiliary unitary U^j controlled on data state j, with its MCX cost."""
+    """Block ``embedding.blocks[index]`` controlled on data state index."""
 
     index: int
-    block: np.ndarray
-    data_dim: int
     mcx_count: int
     touched_qubits: tuple
-
-    @property
-    def unitary(self) -> np.ndarray:
-        """The controlled block as a dense matrix on data plus auxiliary."""
-        ka = self.block.shape[0]
-        lo, hi = self.index * ka, (self.index + 1) * ka
-        full = np.eye(self.data_dim * ka, dtype=complex)
-        full[lo:hi, lo:hi] = self.block
-        return full
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,12 @@ class ScheduleRound:
     current: np.ndarray
     target_vector: np.ndarray
 
-    def correction(self, m: int) -> np.ndarray:
-        """Correction of outcome m; identity for noise-only outcomes."""
-        corr = self.povm.corrections
-        return np.asarray(corr[m] if m < len(corr) else np.arange(len(corr[0])))
+    @property
+    def corrections(self) -> np.ndarray:
+        """Correction of every auxiliary outcome; identity for noise-only ones."""
+        emb, corr = self.embedding, self.povm.corrections
+        pad = repeat(np.arange(emb.data_dim), 2**emb.aux_count - len(corr))
+        return np.array([*corr, *pad])
 
 
 @dataclass(frozen=True)
@@ -228,6 +225,7 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     diag(1, -1, 1, ...). Off the support it is I. For two elements this is
     sqrt(a_0^j) Z + sqrt(a_1^j) X; the m elements of a grouped (g >= 2)
     round get the same unitary completion of their amplitude column.
+    Built from its own v, a reflection is orthogonal to about 1e-15.
     """
     els = np.asarray(povm.elements, dtype=float)
     m, d = els.shape
@@ -246,10 +244,6 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     )[:, None, None]
     if limit.any():
         refl[limit] = np.diag(np.where(np.arange(ka) == 1, -1.0, 1.0))
-    # np.allclose(refl refl^T, I, atol=1e-10) written out; the off-support
-    # blocks are I exactly
-    if not (abs(refl @ refl.swapaxes(1, 2) - eye) <= 1e-10 + 1e-5 * eye).all():
-        raise ArithmeticError("embedding block is not unitary")
     blocks = eye[None].repeat(d, axis=0)
     blocks[on] = refl
     return EmbeddingUnitary(d, k, m, blocks, on)
@@ -273,27 +267,22 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     touched = tuple(range(n_data + k))
     per_block = 2 * (emb.n_outcomes - 1)
     on = np.flatnonzero(emb.support).tolist() if emb.n_outcomes > 1 else []
-    return SynthesisReport(blocks=list(map(
-        SynthesisBlock, on, emb.blocks[on], repeat(d), repeat(per_block), repeat(touched)
-    )))
+    return SynthesisReport([SynthesisBlock(j, per_block, touched) for j in on])
 
 
 def _gate_noise(rho: np.ndarray, rnd: ScheduleRound, p_g: float, n_qubits: int):
     """Apply a round's gate noise to qubits < n_qubits, composed per qubit.
 
     An equal-weight Pauli channel of probability p scales a Bloch vector by
-    lambda = 1 - 4p/3, so the n_q channels the MCX gates apply to qubit q of
-    [A-data..., A-aux...] compose to one of probability 3(1 - lambda^n_q)/4.
-    Returns the state and that probability for every qubit.
+    lambda = 1 - 4p/3. ``synthesize`` charges every block on all qubits of
+    [A-data..., A-aux...], so each gets the round's n = mcx_total channels,
+    composed to one of probability 3(1 - lambda^n)/4, which is returned.
     """
-    emb = rnd.embedding
-    n = np.zeros(emb.data_dim.bit_length() - 1 + emb.aux_count)
-    for blk in rnd.synthesis.blocks:
-        n[list(blk.touched_qubits)] += blk.mcx_count
-    probs = 0.75 * (1.0 - (1.0 - 4.0 * p_g / 3.0) ** n)
-    for q in np.flatnonzero(probs[:n_qubits]):
-        rho = depolarize(rho, probs[q], qubit=int(q))
-    return rho, probs
+    prob = 0.75 * (1.0 - (1.0 - 4.0 * p_g / 3.0) ** rnd.synthesis.mcx_total)
+    if prob:
+        for q in range(n_qubits):
+            rho = depolarize(rho, prob, qubit=q)
+    return rho, prob
 
 
 def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
@@ -311,8 +300,10 @@ def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
     with weights summing to 1; branch states are normalized and have the
     auxiliary register reset to zeros. Corrections are not applied here.
     Noise-induced outcomes beyond the element list get the identity
-    permutation.
+    permutation. Raises ValueError unless 0 <= p_g <= 1.
     """
+    if not 0.0 <= p_g <= 1.0:
+        raise ValueError("p_g must lie in [0, 1]")
     emb = rnd.embedding
     d = emb.data_dim
     ka = 2**emb.aux_count
@@ -336,7 +327,7 @@ def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
             continue
         out = np.zeros((d, ka, d_b, d, ka, d_b), dtype=complex)
         out[:, 0, :, :, 0, :] = block / w
-        branches.append((w, out.reshape(dim, dim), rnd.correction(m)))
+        branches.append((w, out.reshape(dim, dim), rnd.corrections[m]))
     return branches
 
 
@@ -347,6 +338,8 @@ def apply_correction(state: np.ndarray, perm) -> np.ndarray:
     new basis index perm[i] receives old index i on each side.
     """
     p = np.asarray(perm, dtype=int)
+    if not _is_permutation(p, p.size):
+        raise ValueError("correction is not a permutation of range(d)")
     if p.size**2 != state.shape[0]:
         raise ValueError("permutation size does not match the state layout")
     full = (p[:, None] * p.size + p[None, :]).ravel()
@@ -415,7 +408,9 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     multi-outcome measurements. A round of one step takes its two terms in
     closed form from ``step_terms``; only a round of several steps runs the
     Birkhoff decomposition of its product matrix. The frames are pinned as
-    described in ``ProtocolSchedule``.
+    described in ``ProtocolSchedule``. The rounds carry gamma back to the
+    source within ``t_transform_decompose``'s RECON_TOL plus d FOLD_TOL
+    from folding, so the source is not checked again.
 
     A target on fewer qubits than the source is embedded on the leading
     qubits of each party; the success branch then leaves the remaining
@@ -452,9 +447,6 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     vectors = [gamma]
     for mat in groups:
         vectors.append(mat @ vectors[-1])
-    # np.allclose(vectors[-1], alpha, atol=1e-9) written out
-    if not np.all(np.abs(vectors[-1] - alpha) <= 1e-9 + 1e-5 * np.abs(alpha)):
-        raise ArithmeticError("grouped transforms do not reproduce the source")
     rounds = []
     for i in range(len(groups) - 1, -1, -1):
         chunk = steps[i * g : (i + 1) * g]
@@ -495,12 +487,17 @@ def run_schedule(
     register in a diagonal mixture w_x, and block U^j is controlled by A's
     data index j, so outcome m maps rho to rho o (M_m (x) 1) with
     M_m[j, k] = sum_x w_x U^j[m, x] conj(U^k[m, x]), then its correction.
+    ``apply_correction`` is that correction for one branch; here all
+    outcomes are corrected in one gather through the inverse corrections,
+    which send the pair index (x, y) to (inv[x], inv[y]), and summed.
 
     With ``state`` omitted the pure source state of the schedule is used.
-    Returns (success probability, output density matrix).
+    Returns (success probability, output density matrix). Raises ValueError
+    unless 0 <= p_g <= 1, also for a schedule of no rounds.
     """
+    if not 0.0 <= p_g <= 1.0:
+        raise ValueError("p_g must lie in [0, 1]")
     d = schedule.dim
-    n_data = d.bit_length() - 1
     if state is None:
         mat = schedule.left_basis * np.sqrt(schedule.alpha) @ schedule.right_basis.T
         psi = mat.ravel()
@@ -508,17 +505,16 @@ def run_schedule(
     w_in = np.kron(schedule.left_basis, schedule.right_basis).conj().T
     rho = w_in @ state @ w_in.conj().T
     for rnd in schedule.rounds:
-        rho, probs = _gate_noise(rho, rnd, p_g, n_data)
-        aux = reduce(np.kron, ([1.0 - 2.0 * p / 3.0, 2.0 * p / 3.0]
-                               for p in probs[n_data:]), np.ones(1))
+        rho, prob = _gate_noise(rho, rnd, p_g, d.bit_length() - 1)
+        aux = reduce(np.kron, repeat([1.0 - 2.0 * prob / 3.0, 2.0 * prob / 3.0],
+                                     rnd.embedding.aux_count), np.ones(1))
         u = rnd.embedding.blocks
         kraus = np.einsum("jmx,x,kmx->mjk", u, aux, u.conj())
-        rho4 = rho.reshape(d, d, d, d)
-        acc = np.zeros_like(rho)
-        for m, mat in enumerate(kraus):
-            branch = (rho4 * mat[:, None, :, None]).reshape(rho.shape)
-            acc += apply_correction(branch, rnd.correction(m))
-        rho = acc
+        inv = np.argsort(rnd.corrections, axis=1)
+        relabel = (inv[:, :, None] * d + inv[:, None, :]).reshape(len(inv), -1)
+        mats = np.take_along_axis(kraus.reshape(len(inv), -1), relabel, axis=1)
+        branches = rho[relabel[:, :, None], relabel[:, None, :]].reshape(-1, d, d, d, d)
+        rho = (branches * mats.reshape(-1, d, 1, d, 1)).sum(axis=0).reshape(rho.shape)
     w, rho = execute_filter(rho, schedule.final_filter)
     v_out = np.kron(schedule.target_left, schedule.target_right)
     return w, v_out @ rho @ v_out.conj().T

@@ -220,33 +220,21 @@ def expand_step(step: tuple, d: int) -> np.ndarray:
 
 
 def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
-    """Birkhoff terms of a step's matrix t I + (1-t) P, in closed form.
+    """Birkhoff terms of a step's matrix t I + (1-t) P, without the search.
 
-    Returns, bit for bit, what birkhoff_decompose(expand_step(step, d))
-    returns, without its matching search. The identity comes first unless
-    1-t exceeds t by more than the search's 1e-15 tie tolerance. Taking the
-    first term's weight off the matrix leaves the second term's entries;
-    the search zeroes those below 1e-15, drops the term when the largest is
-    below 1e-13, and takes its weight as the smallest. The weights are then
-    divided by their sum. Valid for t in [0, 1].
+    ``birkhoff_decompose``'s peel of ``expand_step(step, d)``, bit for bit,
+    with each matching in closed form: of I and P, which carry the whole
+    matrix, the one of larger bottleneck, I on a tie within the search's
+    1e-15. Valid for t in [0, 1].
     """
-    t = step[0].t
     ident = np.arange(d)
     swap = ident.copy()
     for j, k, _ in step:
         swap[j], swap[k] = k, j
-    if t < (1.0 - t) - 1e-15:
-        # left after the swap: t on swapped pairs, 1 - (1-t) on fixed points
-        first, second = (1.0 - t, swap), ident
-        rest = [t] + ([1.0 - (1.0 - t)] if 2 * len(step) < d else [])
-    else:
-        first, second = (t, ident), swap
-        rest = [1.0 - t]
-    terms = [first]
-    if max(rest) >= 1e-13:
-        terms.append((min(rest), second))
-    total = sum(q for q, _ in terms)
-    return [(q / total, p) for q, p in terms]
+
+    def match(m):
+        return swap if m.diagonal().min() < m[ident, swap].min() - 1e-15 else ident
+    return _peel(expand_step(step, d), match)
 
 
 def group_ttransforms(steps: list, g: int, d: int) -> list[np.ndarray]:
@@ -330,6 +318,33 @@ def _lex_bottleneck_matching(m: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _peel(m: np.ndarray, match) -> list[tuple[float, np.ndarray]]:
+    """Greedy extraction of Birkhoff terms from m, in place.
+
+    Each step removes the largest weight that the permutation ``match(m)``
+    carries, zeroes entries below 1e-15, and the peel stops once all are
+    below 1e-13. The weights are returned divided by their sum.
+    """
+    terms = []
+    rows = np.arange(len(m))
+    bound = (len(m) - 1) ** 2 + 1
+    for _ in range(bound + 1):
+        if m.max() < 1e-13:
+            break
+        perm = match(m)
+        picked = m[rows, perm]
+        q = float(picked.min())
+        m[rows, perm] = picked - q
+        m[m < 1e-15] = 0.0
+        terms.append((q, perm))
+    else:
+        raise ArithmeticError("Birkhoff extraction exceeded the term bound")
+    total = sum(q for q, _ in terms)
+    if abs(total - 1.0) > 1e-9:
+        raise ArithmeticError(f"Birkhoff weights sum to {total}, not 1")
+    return [(q / total, p) for q, p in terms]
+
+
 def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Convex decomposition of a doubly-stochastic matrix into permutations.
 
@@ -347,25 +362,7 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
     if not np.all(np.abs(sums - 1.0) <= 1e-9 + 1e-5):
         raise ValueError("matrix is not doubly stochastic")
-    terms: list[tuple[float, np.ndarray]] = []
-    bound = (d - 1) ** 2 + 1
-    rows = np.arange(d)
-    for _ in range(bound + 1):
-        resid = m.max()
-        if resid < 1e-13:
-            break
-        perm = _lex_bottleneck_matching(m)
-        picked = m[rows, perm]
-        q = float(picked.min())
-        m[rows, perm] = picked - q
-        m[m < 1e-15] = 0.0
-        terms.append((q, perm))
-    else:
-        raise ArithmeticError("Birkhoff extraction exceeded the term bound")
-    total = sum(q for q, _ in terms)
-    if abs(total - 1.0) > 1e-9:
-        raise ArithmeticError(f"Birkhoff weights sum to {total}, not 1")
-    return [(q / total, p) for q, p in terms]
+    return _peel(m, _lex_bottleneck_matching)
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:

@@ -267,7 +267,7 @@ def run_nec(rho_a: np.ndarray, rho_b: np.ndarray, g: int = 1, p_g: float = 0.0) 
     Bell state on the first pair, and executes with per-MCX gate noise
     ``p_g``. The result's output state is the reduced state of the first
     pair on the success branch. Raises ValueError unless both inputs are
-    two-qubit density matrices.
+    two-qubit density matrices and 0 <= p_g <= 1.
     """
     pairs = _pair_states(rho_a, rho_b)
     schedule = compile_schedule(*nec_planning_states(*pairs), g)
@@ -314,7 +314,8 @@ def run_cec(
     compiled for it, and the target returns it alongside the Bell output;
     ``catalyst_post`` reports the catalyst pair's reduced state on the
     success branch, and ``schedule`` the compiled schedule. Raises
-    ValueError unless both pairs are two-qubit density matrices.
+    ValueError unless both pairs are two-qubit density matrices and
+    0 <= p_g <= 1.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
     cat_dm = np.outer(catalyst.state, catalyst.state.conj())
@@ -361,8 +362,9 @@ def run_distillation(
     depolarizes its two qubits with probability ``p_g`` each), measures
     the second pair in the plan basis, and accepts equal outcomes. The
     output is the first pair's reduced state on the accept branch. Raises
-    ValueError unless both inputs are two-qubit density matrices, and
-    ArithmeticError when the plan accepts with probability below 1e-9.
+    ValueError unless both inputs are two-qubit density matrices and
+    0 <= p_g <= 1, and ArithmeticError when the plan accepts with
+    probability below 1e-9.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
     if plan.basis not in MEASUREMENT_BASES:
@@ -393,6 +395,8 @@ def _distill(rho_a, rho_b, gates_a, gates_b, p_g: float) -> np.ndarray:
     (u, v xor u), so the accepted state is rho_a' o G_k, a Hadamard product
     with G_k[u, u'] = sum_m (X^u w_m)^dag rho_b' (X^u' w_m).
     """
+    if not 0.0 <= p_g <= 1.0:
+        raise ValueError("p_g must lie in [0, 1]")
     mirrored = []
     for rho, gates in ((rho_a, gates_a), (rho_b, gates_b)):
         ops = np.einsum("nab,ncd->nacbd", gates, gates.conj()).reshape(-1, 4, 4)

@@ -231,6 +231,12 @@ class TestDiagonalPovmValidation:
                 corrections=[np.arange(2), np.arange(2)],
             )
 
+    @pytest.mark.parametrize("bad", [[0, 0, 1, 1], [0, 1, 2], [0, 1, 2, 7]])
+    def test_non_permutation_corrections_rejected(self, bad):
+        a = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match="permutation"):
+            DiagonalPOVM(elements=[a, 1.0 - a], corrections=[np.arange(4), bad])
+
     def test_zero_rows_allowed_off_support(self):
         povm = DiagonalPOVM(
             elements=[np.array([1.0, 0.0]), np.array([0.0, 0.0])],
@@ -412,7 +418,15 @@ class TestRoundReference:
         monkeypatch.setattr(locc, "js_povm", record)
         for src, tgt in _inputs().values():
             for g in GROUPS:
-                compile_schedule(src, tgt, g)
+                sched = compile_schedule(src, tgt, g)
+                n_data = sched.dim.bit_length() - 1
+                # the one noise charge per round rests on every block being
+                # charged alike on every qubit
+                for rnd in sched.rounds:
+                    emb = rnd.embedding
+                    for blk in rnd.synthesis.blocks:
+                        assert blk.touched_qubits == tuple(range(n_data + emb.aux_count))
+                        assert blk.mcx_count == 2 * (emb.n_outcomes - 1)
         assert max(len(terms) for terms, _ in seen) > 2
         for terms, target in seen:
             povm = js_povm(terms, target)
@@ -463,21 +477,6 @@ class TestSynthesize:
             assert blk.mcx_count == 2
             assert len(blk.touched_qubits) == 3
 
-    def test_block_product_reconstructs(self, rng):
-        a = rng.random(4)
-        a[0] = 1.0
-        emb = embed_povm(
-            DiagonalPOVM(
-                elements=[a, 1.0 - a],
-                corrections=[np.arange(4), np.arange(4)],
-            )
-        )
-        rep = synthesize(emb)
-        prod = np.eye(8, dtype=complex)
-        for blk in rep.blocks:
-            prod = blk.unitary @ prod
-        assert np.allclose(prod, emb.assemble(), atol=1e-10)
-
     def test_multi_outcome_cost(self):
         povm = DiagonalPOVM(
             elements=[np.full(2, 0.25)] * 4,
@@ -493,9 +492,10 @@ class TestSynthesize:
             elements=[np.array([1.0, 0.3, 0.0, 0.5]), np.array([0.0, 0.7, 0.0, 0.5])],
             corrections=[np.arange(4), np.arange(4)],
         )
-        rep = synthesize(embed_povm(povm))
+        emb = embed_povm(povm)
+        rep = synthesize(emb)
         assert [b.index for b in rep.blocks] == [0, 1, 3]
-        assert np.array_equal(rep.blocks[0].block, np.diag([1.0, -1.0]))
+        assert np.array_equal(emb.blocks[0], np.diag([1.0, -1.0]))
 
 
 class FallbackCalled(Exception):
@@ -610,6 +610,12 @@ class TestApplyCorrection:
         once = apply_correction(rho, perm)
         back = apply_correction(once, inv)
         assert np.allclose(back, rho, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [[0, 0, 1, 1], [0, 1, 2, 7]])
+    def test_rejects_non_permutation(self, bad):
+        # [0, 0, 1, 1] used to drop three quarters of the trace of I/16
+        with pytest.raises(ValueError, match="permutation"):
+            apply_correction(np.eye(16) / 16, bad)
 
     def test_restores_target_vector(self):
         v = np.array([0.75, 0.25])
@@ -775,6 +781,20 @@ class TestRunSchedule:
         w1, out1 = run_schedule(sched, p_g=0.05)
         f1 = float(np.real(target.conj() @ out1 @ target))
         assert f0 > f1
+
+    @pytest.mark.parametrize("p_g", [-0.01, 1.5, float("nan")])
+    def test_invalid_gate_noise_raises(self, p_g):
+        # a schedule of no rounds applies no gates, and still rejects p_g
+        bell = schmidt_pair_state([0.5, 0.5])
+        sched = compile_schedule(bell, bell)
+        assert sched.rounds == []
+        with pytest.raises(ValueError, match="p_g"):
+            run_schedule(sched, p_g=p_g)
+        rnd = diag_round(DiagonalPOVM(
+            elements=[np.full(2, 0.5)] * 2, corrections=[np.arange(2)] * 2,
+        ))
+        with pytest.raises(ValueError, match="p_g"):
+            execute_round(aux_state(bell, 2), rnd, p_g)
 
 
 class TestScheduleDocument:

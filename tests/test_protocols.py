@@ -445,6 +445,23 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             reuse_catalyst(first, self.RHO + 0.1j * np.eye(4), self.RHO)
 
+    GATE_NOISE_RUNNERS = {
+        "run_nec": lambda rho, p_g: run_nec(rho, rho, p_g=p_g),
+        "run_cec": lambda rho, p_g: run_cec(rho, rho, catalyst_from_schmidt(0.75), p_g=p_g),
+        "reuse_catalyst": lambda rho, p_g: reuse_catalyst(
+            run_cec(rho, rho, catalyst_from_schmidt(0.75)), rho, rho, p_g=p_g
+        ),
+        "run_distillation": lambda rho, p_g: run_distillation(rho, rho, dejmps_plan(), p_g),
+        "optimize_distillation": lambda rho, p_g: optimize_distillation(rho, rho, p_g),
+    }
+
+    # 1.5 is the even-power case: lambda = -1 and lambda^2 = 1 would look noiseless
+    @pytest.mark.parametrize("p_g", [-0.01, 1.2, 1.5, float("nan")])
+    @pytest.mark.parametrize("runner", sorted(GATE_NOISE_RUNNERS))
+    def test_invalid_gate_noise_raises(self, runner, p_g):
+        with pytest.raises(ValueError, match="p_g"):
+            self.GATE_NOISE_RUNNERS[runner](self.RHO, p_g)
+
     def test_search_validates_once(self, monkeypatch):
         import entconc.protocols as protocols
 
