@@ -17,8 +17,9 @@ B-data...] with the auxiliary register prepared in the all-zeros state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from typing import NamedTuple
 
@@ -38,6 +39,20 @@ from .qmath import _fix_degenerate_gauge, clip_unit, schmidt_decompose
 
 COMPLETENESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
+# Plans kept by each planning memo (compile_schedule, find_catalyst): a
+# sweep point plans NEC and CEC at one g and one catalyst, and a loop over
+# g = 1, 2, 3 plans six schedules.
+_MEMO_SIZE = 16
+
+
+def _input_bytes(state) -> bytes:
+    """Memo key of a planning state: its flattened complex128 bytes."""
+    return np.asarray(state, dtype=complex).reshape(-1).tobytes()
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def _is_permutation(perm, d: int) -> bool:
@@ -415,11 +430,24 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     A target on fewer qubits than the source is embedded on the leading
     qubits of each party; the success branch then leaves the remaining
     qubits in their zero states.
+
+    ``g`` is any integer (``operator.index``) and is stored as an ``int``.
+    The last ``_MEMO_SIZE`` schedules are kept, keyed on the complex128
+    bytes of the flattened inputs and ``g``: an equal input returns the same
+    schedule object, every array of which is read-only. Code that patches
+    the compile path's internals must call ``compile_schedule.cache_clear()``
+    first.
     """
+    g = operator.index(g)
     if g < 1:
         raise ValueError("group size must be at least 1")
-    s = np.asarray(surrogate, dtype=complex).reshape(-1)
-    t = np.asarray(target, dtype=complex).reshape(-1)
+    return _compile_schedule(_input_bytes(surrogate), _input_bytes(target), g)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
+    s = np.frombuffer(source, dtype=complex)
+    t = np.frombuffer(target, dtype=complex)
     d_l = _equal_qubit_split(s.size)
     d_r = s.size // d_l
     if t.size > s.size:
@@ -459,7 +487,7 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     on = gamma > SUPPORT_TOL
     filt = np.ones(d)
     filt[on] = np.sqrt(np.minimum(1.0, r * beta[on] / gamma[on]))
-    return ProtocolSchedule(
+    schedule = ProtocolSchedule(
         rounds=rounds,
         final_filter=filt,
         left_basis=alpha_dec.left_basis,
@@ -472,6 +500,18 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
         success_probability=float(r),
         group_size=g,
     )
+    # shared by every caller that hits the memo, so no caller may write
+    _read_only(filt, alpha, gamma, beta, alpha_dec.left_basis, alpha_dec.right_basis,
+               beta_dec.left_basis, beta_dec.right_basis)
+    for rnd in rounds:
+        povm, emb = rnd.povm, rnd.embedding
+        _read_only(rnd.current, rnd.target_vector, *povm.elements, *povm.corrections,
+                   povm.support, emb.blocks, emb.support)
+    return schedule
+
+
+compile_schedule.cache_info = _compile_schedule.cache_info
+compile_schedule.cache_clear = _compile_schedule.cache_clear
 
 
 def run_schedule(

@@ -20,11 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .locc import ProtocolSchedule, compile_schedule, run_schedule
+from .locc import (
+    _MEMO_SIZE,
+    ProtocolSchedule,
+    _input_bytes,
+    _read_only,
+    compile_schedule,
+    run_schedule,
+)
 from .noise import PHI_PLUS, depolarize, surrogate
 from .qmath import (
     PAULI_I,
@@ -288,21 +295,38 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float =
     Raises ValueError unless ``resolution`` is finite and positive and the
     grid 0.5 + i * resolution, i = 0..round(0.5 / resolution), ends at or
     below 1 (within 1e-12).
+
+    As ``compile_schedule`` does, the last ``_MEMO_SIZE`` results are kept,
+    keyed on the complex128 bytes of the flattened inputs and the
+    resolution as a float, and returned shared, with read-only arrays.
+    Code that patches the search's internals must call
+    ``find_catalyst.cache_clear()`` first.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    return _find_catalyst(_input_bytes(surrogate), _input_bytes(target), float(resolution))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _find_catalyst(source: bytes, target: bytes, resolution: float) -> CatalystSpec:
     c1 = 0.5 + np.arange(int(round(0.5 / resolution)) + 1) * resolution
     if c1[-1] > 1.0 + 1e-12:
         raise ValueError(
             f"resolution {resolution!r} puts the c1 grid at {float(c1[-1])!r}, past 1"
         )
-    sigma, tau = _schmidt_vector(surrogate), _schmidt_vector(target)
+    sigma, tau = (_schmidt_vector(np.frombuffer(b, dtype=complex)) for b in (source, target))
     cat = np.stack([c1, 1.0 - c1], axis=1)
     joint = (np.sort(np.einsum("i,cj->cij", v, cat).reshape(c1.size, -1)) for v in (sigma, tau))
     p = vidal_probability(*(rows[:, ::-1] for rows in joint))
     before = np.concatenate([[-1.0], np.maximum.accumulate(p)[:-1]])
     best = np.flatnonzero(p > before - 1e-12)[-1]
-    return catalyst_from_schmidt(min(float(c1[best]), 1.0), achieved=float(p.max()))
+    spec = catalyst_from_schmidt(min(float(c1[best]), 1.0), achieved=float(p.max()))
+    _read_only(spec.schmidt, spec.state)
+    return spec
+
+
+find_catalyst.cache_info = _find_catalyst.cache_info
+find_catalyst.cache_clear = _find_catalyst.cache_clear
 
 
 def run_cec(

@@ -4,12 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from entconc import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS
+from entconc import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, compile_schedule, find_catalyst
 
 # Property tests draw the same examples on every run (derandomize), are not
 # timed per example (deadline), and stay within a bounded example count.
 settings.register_profile("entconc", derandomize=True, deadline=None, max_examples=25)
 settings.load_profile("entconc")
+
+
+@pytest.fixture(autouse=True)
+def empty_plan_memos():
+    """Start every test with both planning memos empty.
+
+    Tests that count calls inside the compile path or the catalyst search
+    would otherwise see a plan another test left behind.
+    """
+    compile_schedule.cache_clear()
+    find_catalyst.cache_clear()
 
 
 def random_pure_state(rng, dim):

@@ -112,6 +112,27 @@ class TestSweep:
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_memoized_sweep_equals_cold_points(self, tmp_path):
+        from entconc import compile_schedule, find_catalyst
+
+        args = ["sweep", "--protocols", "nec,cec,catalyst-reuse", "--axis", "pg",
+                "--a", "0.1", "--pd", "0.05"]
+
+        def data_rows(path):
+            return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][1:]
+
+        warm = tmp_path / "warm.csv"
+        assert main(args + ["--range", "0:0.02:0.01", "--out", str(warm)]) == 0
+        assert compile_schedule.cache_info().hits > 0
+        cold = []
+        for p_g in ("0", "0.01", "0.02"):
+            compile_schedule.cache_clear()
+            find_catalyst.cache_clear()
+            point = tmp_path / f"cold-{p_g}.csv"
+            assert main(args + ["--range", f"{p_g}:{p_g}:1", "--out", str(point)]) == 0
+            cold += data_rows(point)
+        assert sorted(data_rows(warm)) == sorted(cold)
+
     def test_svg_output(self, tmp_path):
         out = tmp_path / "s.csv"
         svg = tmp_path / "s.svg"

@@ -1,0 +1,207 @@
+"""The planning memos of ``compile_schedule`` and ``find_catalyst``.
+
+Both keep their last few results keyed on the exact bytes of the inputs.
+A hit returns the very object a cold call built, so every array in it is
+read-only, and a cold call after ``cache_clear()`` must give the same
+bytes. The conftest fixture empties both memos before each test.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from entconc import (
+    PHI_PLUS,
+    NoiseParams,
+    compile_schedule,
+    find_catalyst,
+    prepare_state,
+    run_schedule,
+    schedule_to_document,
+)
+from entconc.cli import main
+from entconc.locc import _MEMO_SIZE
+from entconc.protocols import cec_planning_states, nec_planning_states
+
+GROUPS = (1, 2, 3)
+KINDS = ("nec", "cec", "random4", "random8")
+CASES = [(kind, g) for kind in KINDS for g in GROUPS]
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    """Planning input kind -> (source, target), as the compile grid draws them."""
+    rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+    nec = nec_planning_states(rho, rho)
+    out = {"nec": nec, "cec": cec_planning_states(rho, rho, find_catalyst(*nec).state)}
+    rng = np.random.default_rng(14)
+    for d in (4, 8):
+        psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        out[f"random{d}"] = (psi / np.linalg.norm(psi), PHI_PLUS)
+    return out
+
+
+def reachable_arrays(obj):
+    """Every ndarray inside a plan: its fields, their lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from reachable_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from reachable_arrays(item)
+
+
+def document(schedule) -> str:
+    return json.dumps(schedule_to_document(schedule))
+
+
+@pytest.mark.parametrize("kind, g", CASES)
+class TestCompileMemo:
+    def test_second_call_returns_same_object(self, inputs, kind, g):
+        src, tgt = inputs[kind]
+        first = compile_schedule(src, tgt, g)
+        assert compile_schedule(src.copy(), tgt.copy(), g) is first
+        assert compile_schedule.cache_info().hits == 1
+
+    def test_cold_compile_equals_memoized(self, inputs, kind, g):
+        src, tgt = inputs[kind]
+        warm = compile_schedule(src, tgt, g)
+        compile_schedule(src, tgt, g)
+        compile_schedule.cache_clear()
+        cold = compile_schedule(src, tgt, g)
+        assert cold is not warm
+        assert document(cold) == document(warm)
+        for p_g in (0.0, 0.01):
+            (w_warm, rho_warm), (w_cold, rho_cold) = (
+                run_schedule(s, p_g=p_g) for s in (warm, cold)
+            )
+            assert w_warm == w_cold
+            assert rho_warm.tobytes() == rho_cold.tobytes()
+
+    def test_every_array_is_read_only(self, inputs, kind, g):
+        arrays = list(reachable_arrays(compile_schedule(*inputs[kind], g)))
+        assert len(arrays) > 8
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
+
+
+class TestCompileKey:
+    def test_input_written_in_place_is_compiled_anew(self, inputs):
+        src = inputs["random4"][0].copy()
+        before = compile_schedule(src, PHI_PLUS)
+        src[:] = inputs["nec"][0]
+        after = compile_schedule(src, PHI_PLUS)
+        assert after is not before
+        compile_schedule.cache_clear()
+        assert document(after) == document(compile_schedule(inputs["nec"][0], PHI_PLUS))
+
+    def test_failing_checks_raise_on_every_call(self, inputs):
+        src, tgt = inputs["nec"]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="norm"):
+                compile_schedule(2.0 * src, tgt)
+            with pytest.raises(ValueError, match="group size"):
+                compile_schedule(src, tgt, 0)
+        assert compile_schedule.cache_info().currsize == 0
+
+    def test_memo_holds_at_most_its_bound(self):
+        rng = np.random.default_rng(3)
+        for _ in range(_MEMO_SIZE + 4):
+            psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+            compile_schedule(psi / np.linalg.norm(psi), PHI_PLUS)
+        info = compile_schedule.cache_info()
+        assert info.misses == _MEMO_SIZE + 4
+        assert info.currsize == info.maxsize == _MEMO_SIZE
+
+
+class TestGroupSize:
+    def test_numpy_integer_is_stored_as_int(self, inputs):
+        schedule = compile_schedule(*inputs["nec"], np.int64(2))
+        assert type(schedule.group_size) is int
+        assert json.loads(document(schedule))["group_size"] == 2
+        assert compile_schedule(*inputs["nec"], 2) is schedule
+
+    def test_bool_is_stored_as_int(self, inputs):
+        schedule = compile_schedule(*inputs["nec"], True)
+        assert type(schedule.group_size) is int
+        assert '"group_size": 1' in document(schedule)
+
+    def test_float_is_refused_cold_and_warm(self, inputs):
+        with pytest.raises(TypeError):
+            compile_schedule(*inputs["nec"], 2.0)
+        compile_schedule(*inputs["nec"], 2)
+        with pytest.raises(TypeError):
+            compile_schedule(*inputs["nec"], 2.0)
+
+
+class TestCatalystMemo:
+    def test_second_call_returns_same_object(self, inputs):
+        src, tgt = inputs["nec"]
+        first = find_catalyst(src, tgt)
+        assert find_catalyst(src.copy(), tgt.copy()) is first
+        assert find_catalyst(src, tgt, 0.01) is not first
+
+    def test_cold_search_equals_memoized(self, inputs):
+        warm = find_catalyst(*inputs["nec"])
+        find_catalyst.cache_clear()
+        cold = find_catalyst(*inputs["nec"])
+        assert cold is not warm
+        assert cold.achieved_probability == warm.achieved_probability
+        for field in ("schmidt", "state"):
+            assert getattr(cold, field).tobytes() == getattr(warm, field).tobytes()
+
+    def test_every_array_is_read_only(self, inputs):
+        spec = find_catalyst(*inputs["nec"])
+        arrays = list(reachable_arrays(spec))
+        assert len(arrays) == 2
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_input_written_in_place_is_searched_anew(self, inputs):
+        src = inputs["nec"][0].copy()
+        before = find_catalyst(src, PHI_PLUS)
+        src[:] = inputs["random4"][0]
+        after = find_catalyst(src, PHI_PLUS)
+        find_catalyst.cache_clear()
+        cold = find_catalyst(inputs["random4"][0], PHI_PLUS)
+        assert after is not before
+        assert after.state.tobytes() == cold.state.tobytes()
+
+    def test_failing_checks_raise_on_every_call(self, inputs):
+        src, tgt = inputs["nec"]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="norm"):
+                find_catalyst(2.0 * src, tgt)
+            with pytest.raises(ValueError, match="resolution"):
+                find_catalyst(src, tgt, 0)
+        assert find_catalyst.cache_info().currsize == 0
+
+    def test_memo_holds_at_most_its_bound(self, inputs):
+        src, tgt = inputs["nec"]
+        for k in range(_MEMO_SIZE + 4):
+            find_catalyst(src, tgt, 0.5 / (k + 1))
+        info = find_catalyst.cache_info()
+        assert info.misses == _MEMO_SIZE + 4
+        assert info.currsize == _MEMO_SIZE
+
+
+class TestSweepPlansOnce:
+    ARGV = ["sweep", "--protocols", "nec,cec,catalyst-reuse", "--axis", "pg",
+            "--range", "0:0.1:0.01", "--a", "0.1", "--pd", "0.05"]
+
+    def test_pg_sweep_compiles_twice_and_searches_once(self, tmp_path):
+        assert main(self.ARGV + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        assert compile_schedule.cache_info().misses == 2
+        assert find_catalyst.cache_info().misses == 1
+
+    def test_recompiled_reuse_adds_one_compile_per_point(self, tmp_path):
+        argv = self.ARGV + ["--recompile-on-reuse", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        assert compile_schedule.cache_info().misses == 2 + 11
+        assert find_catalyst.cache_info().misses == 1
