@@ -65,18 +65,21 @@ class DiagonalPOVM:
 
     ``elements`` holds the diagonals of the positive operators A_m as 1-D
     arrays; ``corrections`` holds one permutation index array per element,
-    with (P v)[i] = v[perm[i]]. On the support (positions where the
+    with (P v)[i] = v[perm[i]]. Both are stored as tuples, whatever
+    sequence is passed. On the support (positions where the
     diagonals sum to 1) the elements are complete; off-support positions
     carry 0 in every element and are routed to outcome 0 at execution time.
     ``support`` is the boolean mask of the support, set by the
     completeness check. Each correction must be a permutation of range(d).
     """
 
-    elements: list
-    corrections: list
+    elements: tuple
+    corrections: tuple
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "corrections", tuple(self.corrections))
         if len(self.elements) != len(self.corrections):
             raise ValueError("need one correction permutation per element")
         els = np.asarray(self.elements, dtype=float)
@@ -126,7 +129,7 @@ class SynthesisBlock(NamedTuple):
 class SynthesisReport:
     """Non-identity controlled blocks of an embedding with MCX costs."""
 
-    blocks: list
+    blocks: tuple
 
     @property
     def mcx_total(self) -> int:
@@ -168,7 +171,7 @@ class ProtocolSchedule:
     on the input reaches the output the same way for ulp-close inputs.
     """
 
-    rounds: list
+    rounds: tuple
     final_filter: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
@@ -220,9 +223,7 @@ def js_povm(terms, target) -> DiagonalPOVM:
     elements = np.divide(
         parts, current, out=np.zeros_like(parts), where=current > SUPPORT_TOL
     )
-    return DiagonalPOVM(
-        elements=list(elements.clip(0.0, 1.0)), corrections=list(perms[first])
-    )
+    return DiagonalPOVM(elements=elements.clip(0.0, 1.0), corrections=perms[first])
 
 
 def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
@@ -282,7 +283,8 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     touched = tuple(range(n_data + k))
     per_block = 2 * (emb.n_outcomes - 1)
     on = np.flatnonzero(emb.support).tolist() if emb.n_outcomes > 1 else []
-    return SynthesisReport([SynthesisBlock(j, per_block, touched) for j in on])
+    # from a list: tuple() of a generator raised a long compile loop's peak RSS
+    return SynthesisReport(tuple([SynthesisBlock(j, per_block, touched) for j in on]))
 
 
 def _gate_noise(rho: np.ndarray, rnd: ScheduleRound, p_g: float, n_qubits: int):
@@ -434,9 +436,12 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     ``g`` is any integer (``operator.index``) and is stored as an ``int``.
     The last ``_MEMO_SIZE`` schedules are kept, keyed on the complex128
     bytes of the flattened inputs and ``g``: an equal input returns the same
-    schedule object, every array of which is read-only. Code that patches
-    the compile path's internals must call ``compile_schedule.cache_clear()``
-    first.
+    schedule object, every array of which is read-only and every sequence
+    a tuple. Everything up to the folded step chain does not depend on
+    ``g`` and is kept in a second memo of the same bound, keyed on the input
+    bytes alone, so the schedules of one input at several g share their
+    frames and vectors. Code that patches the compile path's internals must
+    call ``compile_schedule.cache_clear()`` first; it empties both memos.
     """
     g = operator.index(g)
     if g < 1:
@@ -445,7 +450,15 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
+def _plan(source: bytes, target: bytes) -> tuple:
+    """The g-independent part of a compile, memoized on the input bytes.
+
+    Returns (alpha decomposition, beta decomposition, r, gamma, steps):
+    both Schmidt decompositions with their gauge pinned, the Vidal
+    probability and intermediate vector, and the folded T-transform chain
+    carrying gamma to alpha. Every array in it is read-only, since the
+    schedules of every g share it.
+    """
     s = np.frombuffer(source, dtype=complex)
     t = np.frombuffer(target, dtype=complex)
     d_l = _equal_qubit_split(s.size)
@@ -467,10 +480,18 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     alpha, beta = alpha_dec.coefficients, beta_dec.coefficients
     if np.count_nonzero(beta > 1e-12) > np.count_nonzero(alpha > 1e-12):
         raise ValueError("target Schmidt rank exceeds the source rank")
-    d = alpha.size
     r = vidal_probability(alpha, beta)
     gamma = _vidal_gamma(alpha, beta, r)
-    steps = fold_ttransforms(t_transform_decompose(alpha, gamma))
+    steps = tuple(fold_ttransforms(t_transform_decompose(alpha, gamma)))
+    _read_only(gamma, *alpha_dec, *beta_dec)
+    return alpha_dec, beta_dec, r, gamma, steps
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
+    alpha_dec, beta_dec, r, gamma, steps = _plan(source, target)
+    alpha, beta = alpha_dec.coefficients, beta_dec.coefficients
+    d = alpha.size
     groups = group_ttransforms(steps, g, d)
     vectors = [gamma]
     for mat in groups:
@@ -488,7 +509,7 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     filt = np.ones(d)
     filt[on] = np.sqrt(np.minimum(1.0, r * beta[on] / gamma[on]))
     schedule = ProtocolSchedule(
-        rounds=rounds,
+        rounds=tuple(rounds),
         final_filter=filt,
         left_basis=alpha_dec.left_basis,
         right_basis=alpha_dec.right_basis,
@@ -501,8 +522,7 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
         group_size=g,
     )
     # shared by every caller that hits the memo, so no caller may write
-    _read_only(filt, alpha, gamma, beta, alpha_dec.left_basis, alpha_dec.right_basis,
-               beta_dec.left_basis, beta_dec.right_basis)
+    _read_only(filt)
     for rnd in rounds:
         povm, emb = rnd.povm, rnd.embedding
         _read_only(rnd.current, rnd.target_vector, *povm.elements, *povm.corrections,
@@ -510,8 +530,13 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     return schedule
 
 
+def _clear_memos() -> None:
+    _compile_schedule.cache_clear()
+    _plan.cache_clear()
+
+
 compile_schedule.cache_info = _compile_schedule.cache_info
-compile_schedule.cache_clear = _compile_schedule.cache_clear
+compile_schedule.cache_clear = _clear_memos
 
 
 def run_schedule(

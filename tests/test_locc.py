@@ -448,7 +448,7 @@ class TestSynthesize:
             corrections=[np.arange(2)],
         )
         rep = synthesize(embed_povm(povm))
-        assert rep.blocks == []
+        assert rep.blocks == ()
         assert rep.mcx_total == 0
 
     def test_three_data_qubits(self, rng):
@@ -787,7 +787,7 @@ class TestRunSchedule:
         # a schedule of no rounds applies no gates, and still rejects p_g
         bell = schmidt_pair_state([0.5, 0.5])
         sched = compile_schedule(bell, bell)
-        assert sched.rounds == []
+        assert sched.rounds == ()
         with pytest.raises(ValueError, match="p_g"):
             run_schedule(sched, p_g=p_g)
         rnd = diag_round(DiagonalPOVM(

@@ -2,8 +2,10 @@
 
 Both keep their last few results keyed on the exact bytes of the inputs.
 A hit returns the very object a cold call built, so every array in it is
-read-only, and a cold call after ``cache_clear()`` must give the same
-bytes. The conftest fixture empties both memos before each test.
+read-only and every sequence a tuple, and a cold call after
+``cache_clear()`` must give the same bytes. ``compile_schedule`` also
+keeps the g-independent plan of an input, shared by its schedules at
+every g. The conftest fixture empties both memos before each test.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from entconc import (
     NoiseParams,
     compile_schedule,
     find_catalyst,
+    locc,
     prepare_state,
     run_schedule,
     schedule_to_document,
@@ -59,6 +62,21 @@ def document(schedule) -> str:
     return json.dumps(schedule_to_document(schedule))
 
 
+def record_calls(monkeypatch, name) -> list:
+    """Patch locc's binding of ``name`` to log each call; return the log."""
+    calls = []
+    func = getattr(locc, name)
+    monkeypatch.setattr(locc, name, lambda *a: calls.append(1) or func(*a))
+    return calls
+
+
+def assert_same_runs(first, second):
+    for p_g in (0.0, 0.01):
+        (w_1, rho_1), (w_2, rho_2) = (run_schedule(s, p_g=p_g) for s in (first, second))
+        assert w_1 == w_2
+        assert rho_1.tobytes() == rho_2.tobytes()
+
+
 @pytest.mark.parametrize("kind, g", CASES)
 class TestCompileMemo:
     def test_second_call_returns_same_object(self, inputs, kind, g):
@@ -75,12 +93,7 @@ class TestCompileMemo:
         cold = compile_schedule(src, tgt, g)
         assert cold is not warm
         assert document(cold) == document(warm)
-        for p_g in (0.0, 0.01):
-            (w_warm, rho_warm), (w_cold, rho_cold) = (
-                run_schedule(s, p_g=p_g) for s in (warm, cold)
-            )
-            assert w_warm == w_cold
-            assert rho_warm.tobytes() == rho_cold.tobytes()
+        assert_same_runs(warm, cold)
 
     def test_every_array_is_read_only(self, inputs, kind, g):
         arrays = list(reachable_arrays(compile_schedule(*inputs[kind], g)))
@@ -88,6 +101,41 @@ class TestCompileMemo:
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = arr.flat[0]
+
+    def test_every_sequence_is_a_tuple(self, inputs, kind, g):
+        schedule = compile_schedule(*inputs[kind], g)
+        before = document(schedule)
+        rnd = schedule.rounds[0]
+        for seq in (schedule.rounds, rnd.povm.elements, rnd.povm.corrections,
+                    rnd.synthesis.blocks):
+            assert type(seq) is tuple
+            with pytest.raises(AttributeError):
+                seq.pop()
+            with pytest.raises(AttributeError):
+                seq.append(seq[0])
+        assert compile_schedule(*inputs[kind], g) is schedule
+        assert document(schedule) == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestSharedPlan:
+    def test_prefix_runs_once_across_group_sizes(self, monkeypatch, inputs, kind):
+        counts = {name: record_calls(monkeypatch, name) for name in
+                  ("schmidt_decompose", "_fix_degenerate_gauge", "t_transform_decompose")}
+        warm = [compile_schedule(*inputs[kind], g) for g in GROUPS]
+        assert {name: len(c) for name, c in counts.items()} == {
+            "schmidt_decompose": 2, "_fix_degenerate_gauge": 1, "t_transform_decompose": 1}
+        for g, schedule in zip(GROUPS, warm):
+            compile_schedule.cache_clear()
+            alone = compile_schedule(*inputs[kind], g)
+            assert document(alone) == document(schedule)
+            assert_same_runs(alone, schedule)
+
+    def test_schedules_share_one_read_only_frame(self, inputs, kind):
+        basis, *others = (compile_schedule(*inputs[kind], g).left_basis for g in GROUPS)
+        assert all(other is basis for other in others)
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = basis[0, 0]
 
 
 class TestCompileKey:
@@ -108,6 +156,26 @@ class TestCompileKey:
             with pytest.raises(ValueError, match="group size"):
                 compile_schedule(src, tgt, 0)
         assert compile_schedule.cache_info().currsize == 0
+
+    def test_cache_clear_empties_the_plan_memo(self, monkeypatch, inputs):
+        calls = record_calls(monkeypatch, "schmidt_decompose")
+        compile_schedule(*inputs["cec"], 1)
+        compile_schedule(*inputs["cec"], 2)
+        assert len(calls) == 2
+        compile_schedule.cache_clear()
+        compile_schedule(*inputs["cec"], 3)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("source, target, match", [
+        (np.full(16, 0.5), PHI_PLUS, "norm"),
+        (np.eye(4)[0].astype(complex), PHI_PLUS, "Schmidt rank"),
+        (PHI_PLUS, np.full(16, 0.25), "does not fit"),
+    ])
+    def test_failing_plan_raises_at_every_group_size(self, source, target, match):
+        for g in GROUPS:
+            with pytest.raises(ValueError, match=match):
+                compile_schedule(source, target, g)
+        assert locc._plan.cache_info().currsize == 0
 
     def test_memo_holds_at_most_its_bound(self):
         rng = np.random.default_rng(3)
