@@ -34,7 +34,7 @@ from .majorize import (
     t_transform_decompose,
     vidal_probability,
 )
-from .noise import depolarize
+from .noise import _depolarize_qubits
 from .qmath import _fix_degenerate_gauge, clip_unit, schmidt_decompose
 
 COMPLETENESS_TOL = 1e-10
@@ -83,7 +83,10 @@ class DiagonalPOVM:
         if len(self.elements) != len(self.corrections):
             raise ValueError("need one correction permutation per element")
         els = np.asarray(self.elements, dtype=float)
-        if not all(_is_permutation(p, els.shape[-1]) for p in self.corrections):
+        d = els.shape[-1]
+        if any(np.shape(p) != (d,) for p in self.corrections) or (
+            np.sort(self.corrections, axis=-1) != np.arange(d)
+        ).any():
             raise ValueError("each correction must be a permutation of range(d)")
         if els.min() < -SUPPORT_TOL or els.max() > 1 + 1e-12:
             raise ValueError("POVM diagonal entries must lie in [0, 1]")
@@ -294,11 +297,12 @@ def _gate_noise(rho: np.ndarray, rnd: ScheduleRound, p_g: float, n_qubits: int):
     lambda = 1 - 4p/3. ``synthesize`` charges every block on all qubits of
     [A-data..., A-aux...], so each gets the round's n = mcx_total channels,
     composed to one of probability 3(1 - lambda^n)/4, which is returned.
+    One unchecked ``noise._depolarize_qubits`` call applies it to every
+    qubit; ``p_g`` is checked by the callers.
     """
     prob = 0.75 * (1.0 - (1.0 - 4.0 * p_g / 3.0) ** rnd.synthesis.mcx_total)
     if prob:
-        for q in range(n_qubits):
-            rho = depolarize(rho, prob, qubit=q)
+        rho = _depolarize_qubits(rho, prob, range(n_qubits))
     return rho, prob
 
 
@@ -539,6 +543,12 @@ compile_schedule.cache_info = _compile_schedule.cache_info
 compile_schedule.cache_clear = _clear_memos
 
 
+def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices as one broadcast product, bit-equal."""
+    n = len(left) * len(right)
+    return (left[:, None, :, None] * right[None, :, None, :]).reshape(n, n)
+
+
 def run_schedule(
     schedule: ProtocolSchedule, state: np.ndarray | None = None, p_g: float = 0.0
 ) -> tuple:
@@ -552,13 +562,16 @@ def run_schedule(
     register in a diagonal mixture w_x, and block U^j is controlled by A's
     data index j, so outcome m maps rho to rho o (M_m (x) 1) with
     M_m[j, k] = sum_x w_x U^j[m, x] conj(U^k[m, x]), then its correction.
-    ``apply_correction`` is that correction for one branch; here all
-    outcomes are corrected in one gather through the inverse corrections,
-    which send the pair index (x, y) to (inv[x], inv[y]), and summed.
+    ``apply_correction`` is that correction for one branch; here each
+    outcome's branch is gathered by two ``take``s of its inverse
+    correction, which send the pair index (x, y) to (inv[x], inv[y]),
+    multiplied by its relabelled M_m, and the branches are summed in
+    outcome order.
 
     With ``state`` omitted the pure source state of the schedule is used.
     Returns (success probability, output density matrix). Raises ValueError
-    unless 0 <= p_g <= 1, also for a schedule of no rounds.
+    unless 0 <= p_g <= 1, also for a schedule of no rounds, and unless
+    ``state`` has shape (d^2, d^2) for the schedule's dimension d.
     """
     if not 0.0 <= p_g <= 1.0:
         raise ValueError("p_g must lie in [0, 1]")
@@ -567,21 +580,28 @@ def run_schedule(
         mat = schedule.left_basis * np.sqrt(schedule.alpha) @ schedule.right_basis.T
         psi = mat.ravel()
         state = np.outer(psi, psi.conj())
-    w_in = np.kron(schedule.left_basis, schedule.right_basis).conj().T
+    if np.shape(state) != (d * d, d * d):
+        raise ValueError(
+            f"state has shape {np.shape(state)}, the schedule needs {(d * d, d * d)}"
+        )
+    w_in = _kron(schedule.left_basis, schedule.right_basis).conj().T
     rho = w_in @ state @ w_in.conj().T
     for rnd in schedule.rounds:
         rho, prob = _gate_noise(rho, rnd, p_g, d.bit_length() - 1)
-        aux = reduce(np.kron, repeat([1.0 - 2.0 * prob / 3.0, 2.0 * prob / 3.0],
-                                     rnd.embedding.aux_count), np.ones(1))
+        mix = np.array([1.0 - 2.0 * prob / 3.0, 2.0 * prob / 3.0])
+        aux = reduce(np.multiply.outer, repeat(mix, rnd.embedding.aux_count), np.ones(()))
         u = rnd.embedding.blocks
-        kraus = np.einsum("jmx,x,kmx->mjk", u, aux, u.conj())
+        kraus = np.einsum("jmx,x,kmx->mjk", u, aux.ravel(), u.conj())
         inv = np.argsort(rnd.corrections, axis=1)
         relabel = (inv[:, :, None] * d + inv[:, None, :]).reshape(len(inv), -1)
         mats = np.take_along_axis(kraus.reshape(len(inv), -1), relabel, axis=1)
-        branches = rho[relabel[:, :, None], relabel[:, None, :]].reshape(-1, d, d, d, d)
-        rho = (branches * mats.reshape(-1, d, 1, d, 1)).sum(axis=0).reshape(rho.shape)
+        branches = (
+            rho.take(idx, axis=0).take(idx, axis=1).reshape(d, d, d, d) * mat.reshape(d, 1, d, 1)
+            for idx, mat in zip(relabel, mats)
+        )
+        rho = reduce(np.add, branches).reshape(rho.shape)
     w, rho = execute_filter(rho, schedule.final_filter)
-    v_out = np.kron(schedule.target_left, schedule.target_right)
+    v_out = _kron(schedule.target_left, schedule.target_right)
     return w, v_out @ rho @ v_out.conj().T
 
 

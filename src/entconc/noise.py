@@ -21,8 +21,9 @@ from .qmath import top_eigenstate
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 # s_a s_b of one qubit's row and column indices, shaped for the (a, R, L, b, R)
-# axes of depolarize's view: Z rho Z multiplies each entry by it
+# axes of _depolarize_qubits' view: Z rho Z multiplies each entry by it
 _ZZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, None, :, None]
+_EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) * _INV_SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) * _INV_SQRT2
@@ -111,16 +112,15 @@ def depolarize(rho: np.ndarray, p_d: float, weights=None, qubit: int = 1) -> np.
 
     rho -> (1-p_d) rho + p_d (w_x X rho X + w_z Z rho Z + w_y Y rho Y) on
     qubit ``qubit`` of an n-qubit register (qubit 0 most significant), with
-    probabilities ``weights`` (default 1/3 each, ordered (x, z, y)). In
-    closed form on the (L, 2, R, L, 2, R) view of rho: Z rho Z multiplies
-    the entry with qubit indices (a, b) by s_a s_b (s = 1, -1), X rho X
-    reverses both qubit axes, and Y rho Y = X (Z rho Z) X. Leading axes of
-    ``rho`` batch. ``qmath.apply_channel`` with the four Kraus operators is
-    the reference. Raises ValueError for invalid weights or ``p_d``, a
-    dimension that is not a power of two, or a qubit outside [0, n).
+    probabilities ``weights`` (default 1/3 each, ordered (x, z, y)): the
+    checks of its arguments, then ``_depolarize_qubits`` on the one qubit.
+    Leading axes of ``rho`` batch. ``qmath.apply_channel`` with the four Kraus
+    operators is the reference. Raises ValueError for invalid weights or
+    ``p_d``, a dimension that is not a power of two, or a qubit outside
+    [0, n).
     """
     if weights is None:
-        weights = (1 / 3, 1 / 3, 1 / 3)
+        weights = _EQUAL_WEIGHTS
     wx, wz, wy = (float(w) for w in weights)
     if abs(wx + wz + wy - 1.0) > 1e-12 or min(wx, wz, wy) < 0:
         raise ValueError("depolarizing weights must be probabilities summing to 1")
@@ -133,11 +133,27 @@ def depolarize(rho: np.ndarray, p_d: float, weights=None, qubit: int = 1) -> np.
         raise ValueError(f"state dimension {dim} is not a power of two")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} is outside a register of {n} qubits")
-    t = rho.reshape(rho.shape[:-2] + (2**qubit, 2, dim >> (qubit + 1)) * 2)
+    return _depolarize_qubits(rho, p_d, (qubit,), (wx, wz, wy))
+
+
+def _depolarize_qubits(rho, p_d: float, qubits, weights=_EQUAL_WEIGHTS) -> np.ndarray:
+    """``depolarize`` on each of ``qubits`` in turn, without its checks.
+
+    Equals the chained ``depolarize`` calls bit for bit. In closed form on
+    the (L, 2, R, L, 2, R) view of rho: Z rho Z multiplies the entry with
+    qubit indices (a, b) by s_a s_b (s = 1, -1), X rho X reverses both
+    qubit axes, and Y rho Y = X (Z rho Z) X. The keep and flip factors are
+    built once for all qubits. ``weights`` are the floats (w_x, w_z, w_y).
+    """
+    wx, wz, wy = weights
     keep = (1.0 - p_d) + p_d * wz * _ZZ_SIGNS
     flip = p_d * (wx + wy * _ZZ_SIGNS)
-    out = keep * t + flip * t[..., ::-1, :, :, ::-1, :]
-    return out.reshape(rho.shape)
+    rho = np.asarray(rho, dtype=complex)
+    shape, dim = rho.shape, rho.shape[-1]
+    for q in qubits:
+        t = rho.reshape(shape[:-2] + (2**q, 2, dim >> (q + 1)) * 2)
+        rho = (keep * t + flip * t[..., ::-1, :, :, ::-1, :]).reshape(shape)
+    return rho
 
 
 def prepare_state(params: NoiseParams) -> np.ndarray:

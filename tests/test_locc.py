@@ -1,6 +1,7 @@
 """Unit tests for POVM construction, dilation, synthesis, and execution."""
 
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -82,6 +83,37 @@ def dilated_run(schedule, state, p_g):
     return w, v_out @ rho @ v_out.conj().T
 
 
+def loop_run(schedule, state, p_g):
+    """Reference ``run_schedule`` in loop form, built from public pieces.
+
+    The ``np.kron`` frame rotations, per-qubit ``depolarize`` at the
+    round's composed probability, Kraus multipliers from the embedding
+    blocks with ``np.kron`` auxiliary weights, and ``apply_correction`` of
+    each outcome's branch, summed in outcome order.
+    """
+    d = schedule.dim
+    w_in = np.kron(schedule.left_basis, schedule.right_basis).conj().T
+    rho = w_in @ state @ w_in.conj().T
+    for rnd in schedule.rounds:
+        prob = 0.75 * (1.0 - (1.0 - 4.0 * p_g / 3.0) ** rnd.synthesis.mcx_total)
+        if prob:
+            for q in range(d.bit_length() - 1):
+                rho = depolarize(rho, prob, qubit=q)
+        mix = [1.0 - 2.0 * prob / 3.0, 2.0 * prob / 3.0]
+        aux = reduce(np.kron, [mix] * rnd.embedding.aux_count, np.ones(1))
+        u = rnd.embedding.blocks
+        acc = None
+        for m, perm in enumerate(rnd.corrections):
+            kraus = np.einsum("jx,x,kx->jk", u[:, m], aux, u[:, m].conj())
+            branch = rho.reshape(d, d, d, d) * kraus[:, None, :, None]
+            branch = apply_correction(branch.reshape(rho.shape), perm)
+            acc = branch if acc is None else acc + branch
+        rho = acc
+    w, rho = execute_filter(rho, schedule.final_filter)
+    v_out = np.kron(schedule.target_left, schedule.target_right)
+    return w, v_out @ rho @ v_out.conj().T
+
+
 def padded_bell(d):
     """Bell target on the leading qubit of each d-level register."""
     mat = np.zeros((d, d), dtype=complex)
@@ -125,6 +157,16 @@ class TestKrausExecution:
         w_ref, out_ref = dilated_run(sched, state, p_g)
         assert abs(w - w_ref) <= 1e-12
         assert np.max(np.abs(out - out_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["nec", "cec", "random4", "random8"])
+    def test_bit_equal_to_loop_form(self, kind, g):
+        sched, state = schedule_and_state(kind, g, np.random.default_rng(g))
+        for p_g in (0.0, 1e-3, 0.02, 1.0):
+            w, out = run_schedule(sched, state, p_g)
+            w_ref, out_ref = loop_run(sched, state, p_g)
+            assert w == w_ref
+            assert np.array_equal(out, out_ref)
 
     @pytest.mark.parametrize("p_g", [0.07, 1.0])
     def test_composed_noise_equals_sequential_channels(self, rng, p_g):
@@ -781,6 +823,12 @@ class TestRunSchedule:
         w1, out1 = run_schedule(sched, p_g=0.05)
         f1 = float(np.real(target.conj() @ out1 @ target))
         assert f0 > f1
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 4), (64, 64)])
+    def test_malformed_state_raises(self, rng, shape):
+        sched = compile_schedule(random_bipartite(rng, 4, 4), schmidt_pair_state([0.5, 0.5]))
+        with pytest.raises(ValueError, match=rf"{shape}.*\(16, 16\)"):
+            run_schedule(sched, np.zeros(shape, dtype=complex))
 
     @pytest.mark.parametrize("p_g", [-0.01, 1.5, float("nan")])
     def test_invalid_gate_noise_raises(self, p_g):

@@ -14,7 +14,7 @@ from entconc import (
     prepare_state,
     surrogate,
 )
-from entconc.noise import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS
+from entconc.noise import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, _depolarize_qubits
 from entconc.qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -138,6 +138,27 @@ class TestDepolarize:
         assert out.shape == stack.shape
         for i in range(5):
             assert np.array_equal(out[i, 0], depolarize(stack[i, 0], 0.2, (0.5, 0.3, 0.2), qubit=1))
+
+
+class TestDepolarizeKernel:
+    @pytest.mark.parametrize("n_qubits", range(1, 5))
+    @pytest.mark.parametrize("weights", [None, (0.5, 0.3, 0.2)])
+    def test_equals_chained_depolarize(self, rng, n_qubits, weights):
+        n = 4
+        stack = np.array([random_density(rng, 2**n) for _ in range(3)]).reshape(3, 1, 16, 16)
+        qubits = rng.choice(n, size=n_qubits, replace=False).tolist()
+        for p in (0.0, 0.03, 1.0):
+            for rho in (stack[0, 0], stack):
+                want = rho
+                for q in qubits:
+                    want = depolarize(want, p, weights, qubit=q)
+                got = (
+                    _depolarize_qubits(rho, p, qubits)
+                    if weights is None
+                    else _depolarize_qubits(rho, p, qubits, weights)
+                )
+                assert got.shape == rho.shape
+                assert np.array_equal(got, want)
 
 
 class TestNoiseParams:
