@@ -35,7 +35,7 @@ from .majorize import (
     vidal_probability,
 )
 from .noise import _depolarize_qubits
-from .qmath import _fix_degenerate_gauge, clip_unit, schmidt_decompose
+from .qmath import _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor
 
 COMPLETENESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
@@ -55,8 +55,10 @@ def _read_only(*arrays) -> None:
         a.setflags(write=False)
 
 
-def _is_permutation(perm, d: int) -> bool:
-    return np.shape(perm) == (d,) and (np.sort(perm) == np.arange(d)).all()
+def _are_permutations(perms, d: int) -> bool:
+    """True iff each of ``perms`` has shape (d,) and its raw values sort to range(d)."""
+    shaped = all(np.shape(p) == (d,) for p in perms)
+    return shaped and (np.sort(perms, axis=-1) == np.arange(d)).all()
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,7 @@ class DiagonalPOVM:
             raise ValueError("need one correction permutation per element")
         els = np.asarray(self.elements, dtype=float)
         d = els.shape[-1]
-        if any(np.shape(p) != (d,) for p in self.corrections) or (
-            np.sort(self.corrections, axis=-1) != np.arange(d)
-        ).any():
+        if not _are_permutations(self.corrections, d):
             raise ValueError("each correction must be a permutation of range(d)")
         if els.min() < -SUPPORT_TOL or els.max() > 1 + 1e-12:
             raise ValueError("POVM diagonal entries must lie in [0, 1]")
@@ -356,11 +356,13 @@ def apply_correction(state: np.ndarray, perm) -> np.ndarray:
     """Relabel both parties' data bases by the permutation.
 
     Moves the branch state with vector components v[perm[i]] back to v:
-    new basis index perm[i] receives old index i on each side.
+    new basis index perm[i] receives old index i on each side. ``perm`` is
+    checked as given, before any cast to int: [1.0, 0.0] is the swap,
+    [1.7, 0.2] raises ValueError.
     """
-    p = np.asarray(perm, dtype=int)
-    if not _is_permutation(p, p.size):
+    if not _are_permutations([perm], np.size(perm)):
         raise ValueError("correction is not a permutation of range(d)")
+    p = np.asarray(perm, dtype=int)
     if p.size**2 != state.shape[0]:
         raise ValueError("permutation size does not match the state layout")
     full = (p[:, None] * p.size + p[None, :]).ravel()
@@ -543,12 +545,6 @@ compile_schedule.cache_info = _compile_schedule.cache_info
 compile_schedule.cache_clear = _clear_memos
 
 
-def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two square matrices as one broadcast product, bit-equal."""
-    n = len(left) * len(right)
-    return (left[:, None, :, None] * right[None, :, None, :]).reshape(n, n)
-
-
 def run_schedule(
     schedule: ProtocolSchedule, state: np.ndarray | None = None, p_g: float = 0.0
 ) -> tuple:
@@ -584,7 +580,7 @@ def run_schedule(
         raise ValueError(
             f"state has shape {np.shape(state)}, the schedule needs {(d * d, d * d)}"
         )
-    w_in = _kron(schedule.left_basis, schedule.right_basis).conj().T
+    w_in = tensor(schedule.left_basis, schedule.right_basis).conj().T
     rho = w_in @ state @ w_in.conj().T
     for rnd in schedule.rounds:
         rho, prob = _gate_noise(rho, rnd, p_g, d.bit_length() - 1)
@@ -601,7 +597,7 @@ def run_schedule(
         )
         rho = reduce(np.add, branches).reshape(rho.shape)
     w, rho = execute_filter(rho, schedule.final_filter)
-    v_out = _kron(schedule.target_left, schedule.target_right)
+    v_out = tensor(schedule.target_left, schedule.target_right)
     return w, v_out @ rho @ v_out.conj().T
 
 

@@ -37,6 +37,8 @@ class TTransform(NamedTuple):
 def _as_schmidt(v) -> np.ndarray:
     """Schmidt vectors along the last axis, each checked; leading axes batch."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    if not np.isfinite(v).all():
+        raise ValueError("Schmidt vector has a non-finite entry")
     if (v.min(axis=-1) < -SUM_TOL).any():
         raise ValueError("Schmidt vector has a negative entry")
     if (abs(v.sum(axis=-1) - 1.0) > 1e-9).any():

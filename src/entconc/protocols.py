@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,11 +37,12 @@ from .qmath import (
     PAULI_I,
     PAULI_X,
     assert_density_matrix,
-    assert_pure_state,
     clip_unit,
     fidelity,
     partial_trace,
     permute_subsystems,
+    schmidt_decompose,
+    tensor,
 )
 from .majorize import vidal_probability
 
@@ -187,21 +188,6 @@ def _pair_states(*states) -> list:
     return out
 
 
-def _schmidt_vector(state: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients, descending, of a pure state on equal halves.
-
-    Bit-equal to ``schmidt_decompose(...).coefficients`` (the same SVD and
-    normalization), without building and pinning the frames.
-    """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(state.size)))
-    if d * d != state.size:
-        raise ValueError("state does not split into equal halves")
-    assert_pure_state(state)
-    coeffs = np.linalg.svd(state.reshape(d, d))[1] ** 2
-    return coeffs / coeffs.sum()
-
-
 def _parties(*pairs) -> np.ndarray:
     """Product of pair states (vectors or density matrices), party-ordered.
 
@@ -209,7 +195,7 @@ def _parties(*pairs) -> np.ndarray:
     """
     n = len(pairs)
     perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-    return permute_subsystems(reduce(np.kron, pairs), perm)
+    return permute_subsystems(tensor(*pairs), perm)
 
 
 _TARGET_PAIRS = (PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex))
@@ -314,7 +300,13 @@ def _find_catalyst(source: bytes, target: bytes, resolution: float) -> CatalystS
         raise ValueError(
             f"resolution {resolution!r} puts the c1 grid at {float(c1[-1])!r}, past 1"
         )
-    sigma, tau = (_schmidt_vector(np.frombuffer(b, dtype=complex)) for b in (source, target))
+    vectors = []
+    for state in (np.frombuffer(b, dtype=complex) for b in (source, target)):
+        d = math.isqrt(state.size)
+        if d * d != state.size:
+            raise ValueError("state does not split into equal halves")
+        vectors.append(schmidt_decompose(state, d, d).coefficients)
+    sigma, tau = vectors
     cat = np.stack([c1, 1.0 - c1], axis=1)
     joint = (np.sort(np.einsum("i,cj->cij", v, cat).reshape(c1.size, -1)) for v in (sigma, tau))
     p = vidal_probability(*(rows[:, ::-1] for rows in joint))

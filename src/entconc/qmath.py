@@ -102,9 +102,9 @@ def clip_unit(value, what: str):
 
 
 def assert_pure_state(psi: np.ndarray) -> None:
-    """Validate normalization of a pure-state vector."""
+    """Validate normalization of a pure-state vector; a NaN or inf entry fails it."""
     nrm = np.linalg.norm(np.asarray(psi))
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise ValueError("pure state norm differs from 1 beyond 1e-12")
 
 

@@ -669,6 +669,31 @@ class TestApplyCorrection:
         assert abs(np.real(ref.conj() @ out @ ref) - 1.0) < 1e-12
 
 
+# One verdict per correction: DiagonalPOVM and apply_correction share the check.
+PERMUTATION_VERDICTS = {
+    "wrong_shape": ([[0, 1]], False),
+    "wrong_length": ([0, 1, 2], False),
+    "repeated_index": ([0, 0], False),
+    "fractional": ([1.7, 0.2], False),
+    "nan": ([np.nan, 0.0], False),
+    "exact_floats": ([1.0, 0.0], True),
+}
+
+
+@pytest.mark.parametrize("perm, accepted", PERMUTATION_VERDICTS.values(), ids=PERMUTATION_VERDICTS)
+def test_povm_and_correction_agree_on_permutations(perm, accepted):
+    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    elements = [[0.3, 0.6], [0.7, 0.4]]
+    if accepted:
+        DiagonalPOVM(elements=elements, corrections=[[0, 1], perm])
+        assert np.array_equal(apply_correction(rho, perm), apply_correction(rho, [1, 0]))
+        return
+    with pytest.raises(ValueError, match="permutation"):
+        DiagonalPOVM(elements=elements, corrections=[[0, 1], perm])
+    with pytest.raises(ValueError, match="permutation"):
+        apply_correction(rho, perm)
+
+
 class TestExecuteFilter:
     def test_identity_filter(self, rng):
         psi = random_bipartite(rng, 2, 2)
@@ -788,6 +813,13 @@ class TestCompileSchedule:
         bell = schmidt_pair_state([0.5, 0.5])
         with pytest.raises(ValueError):
             compile_schedule(bell, bell, g=0)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_state_raises(self, which):
+        states = [np.diag(np.sqrt([0.5, 0.3, 0.2, 0.0])).ravel(), schmidt_pair_state([0.5, 0.5])]
+        states[which][0] = np.nan
+        with pytest.raises(ValueError, match="norm"):
+            compile_schedule(*states)
 
     def test_rounds_complete_povms(self, rng):
         psi = random_bipartite(rng, 4, 4)

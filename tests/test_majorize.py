@@ -130,6 +130,16 @@ class TestVidalProbability:
             vidal_probability([[0.5, 0.5], [0.6, 0.5]], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: vidal_probability([np.nan, 0.5], [0.5, 0.5]),
+    lambda: vidal_intermediate([0.5, 0.5], [np.nan, 0.5]),
+    lambda: is_majorized([np.nan, 0.5], [1.0, 0.0]),
+], ids=["vidal_probability", "vidal_intermediate", "is_majorized"])
+def test_nan_schmidt_vector_raises(call):
+    with pytest.raises(ValueError, match="non-finite"):
+        call()
+
+
 class TestVidalIntermediate:
     def test_desk_case(self):
         gamma = vidal_intermediate(np.array([0.8, 0.2]), np.array([0.5, 0.5]))

@@ -170,11 +170,19 @@ class TestFindCatalyst:
 
     @given(seed=st.integers(0, 2**32 - 1), resolution=st.sampled_from([1e-3, 2e-3]))
     @example(seed=-1, resolution=1e-4)
+    @example(seed=-2, resolution=1e-4)
+    @example(seed=-3, resolution=1e-4)
     @example(seed=0, resolution=1e-4)
     def test_matches_loop_of_1d_calls(self, seed, resolution):
         if seed < 0:
             # deterministically convertible: every c1 ties at 1, so c1 = 1
-            source = np.eye(4).ravel().astype(complex) / 2.0
+            source = {
+                -1: np.eye(4).ravel().astype(complex) / 2.0,
+                # the same four equal coefficients, as the surrogate path builds them
+                -2: joint_surrogate(*[np.outer(PHI_PLUS, PHI_PLUS.conj())] * 2),
+                # an equal pair and two zeros
+                -3: diag_state([0.5, 0.5, 0.0, 0.0]),
+            }[seed]
         else:
             source = random_pure_state(np.random.default_rng(seed), 16)
         c1, prob = self.loop_catalyst(source, PHI_PLUS, resolution)
@@ -204,45 +212,26 @@ class TestFindCatalyst:
         find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
         assert len(calls) == 1
 
-    def test_builds_no_schmidt_frames(self, monkeypatch):
-        import entconc.qmath as qmath
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_state_off_equal_halves_raises(self, which):
+        states = [diag_state([0.5, 0.3, 0.2, 0.0]), PHI_PLUS]
+        states[which] = np.ones(8, dtype=complex) / np.sqrt(8)
+        with pytest.raises(ValueError, match="equal halves"):
+            find_catalyst(*states)
 
-        rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
-        sur, tgt = protocols.nec_planning_states(rho, rho)
+    def test_three_by_three_source_is_accepted(self):
+        sigma = np.array([0.6, 0.3, 0.1])
+        spec = find_catalyst(diag_state(sigma), PHI_PLUS)
+        joint = (np.sort(np.outer(v, spec.schmidt).ravel())[::-1] for v in (sigma, [0.5, 0.5]))
+        assert abs(spec.achieved_probability - vidal_probability(*joint)) < 1e-12
+        assert spec.achieved_probability >= vidal_probability(sigma, [0.5, 0.5])
 
-        def refuse(*args):
-            raise AssertionError("a Schmidt frame was pinned")
-
-        monkeypatch.setattr(qmath, "_fix_degenerate_gauge", refuse)
-        spec = find_catalyst(sur, tgt)
-        assert 0.5 <= spec.schmidt[0] <= 1.0
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        d=st.sampled_from([2, 4, 8]),
-        degenerate=st.booleans(),
-    )
-    @example(seed=-1, d=4, degenerate=True)
-    @example(seed=-2, d=4, degenerate=True)
-    @example(seed=-3, d=2, degenerate=False)
-    def test_schmidt_vector_is_bit_equal_to_decomposition(self, seed, d, degenerate):
-        if seed == -1:
-            psi = protocols.joint_surrogate(*[np.outer(PHI_PLUS, PHI_PLUS.conj())] * 2)
-        elif seed == -2:
-            psi = diag_state([0.5, 0.5, 0.0, 0.0])
-        elif seed == -3:
-            psi = np.array([1, 0, 0, 0], dtype=complex)
-        else:
-            rng = np.random.default_rng(seed)
-            coeffs = rng.random(d) + 0.05
-            if degenerate:
-                coeffs[: d // 2] = coeffs[0]
-            u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-                    for _ in range(2))
-            psi = (u * np.sqrt(coeffs / coeffs.sum()) @ v.T).ravel()
-            psi /= np.linalg.norm(psi)
-        want = schmidt_decompose(psi, d, d).coefficients
-        assert np.array_equal(protocols._schmidt_vector(psi), want)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_state_raises(self, which):
+        states = [diag_state([0.4, 0.3, 0.2, 0.1]), PHI_PLUS.copy()]
+        states[which][0] = np.nan
+        with pytest.raises(ValueError, match="norm"):
+            find_catalyst(*states)
 
     def test_schmidt_ordering(self):
         spec = catalyst_from_schmidt(0.7)
