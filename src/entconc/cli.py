@@ -94,8 +94,8 @@ def _parse_range(text: str) -> list:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad --range value: {exc}") from exc
-    if step <= 0:
-        raise UsageError("--range step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise UsageError("--range step must be finite and positive")
     if not (0.0 <= lo <= hi <= 1.0):
         raise UsageError("--range endpoints must satisfy 0 <= lo <= hi <= 1")
     count = int(math.floor((hi - lo) / step + 1e-9))

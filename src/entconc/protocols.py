@@ -56,6 +56,10 @@ _BASIS_CHANGE = np.array([np.eye(2), _H, _S @ _H])
 _ACCEPT = np.einsum("kam,kbm->kmab", _BASIS_CHANGE, _BASIS_CHANGE).reshape(3, 2, 4)[
     :, :, np.arange(4)[:, None] ^ np.arange(4)
 ].transpose(0, 2, 1, 3)
+# The accept matrices as one linear map of the flattened pair state: row (a, b),
+# column (k, u, v) holds sum_m conj(_ACCEPT[k, u, m, a]) _ACCEPT[k, v, m, b].
+_ACCEPT_MAP = np.einsum("kuma,kvmb->abkuv", _ACCEPT.conj(), _ACCEPT).reshape(16, 48)
+_PHI_OUTER = np.outer(PHI_PLUS.conj(), PHI_PLUS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,15 +405,13 @@ def run_distillation(
     )
 
 
-def _distill(rho_a, rho_b, gates_a, gates_b, p_g: float) -> np.ndarray:
-    """Accepted, unnormalized output states of a family of plans.
+def _mirrored_factors(rho_a, rho_b, gates_a, gates_b, p_g: float) -> tuple:
+    """Per-side factors (A, G) of a family of plans; see ``_distill``.
 
-    Entry [i, j, k] is the plan with Alice gates (gates_a[i], gates_b[j])
-    measuring in MEASUREMENT_BASES[k]; its trace is the acceptance. Gates
-    and noise act on each pair alone (the noise on the second CNOT's qubits
-    commutes with the first CNOT). The bilateral CNOT maps (u, v) to
-    (u, v xor u), so the accepted state is rho_a' o G_k, a Hadamard product
-    with G_k[u, u'] = sum_m (X^u w_m)^dag rho_b' (X^u' w_m).
+    A[i] is rho_a after the mirrored gates_a[i] and the first CNOT's gate
+    noise; G[j, k] is the accept matrix of rho_b after gates_b[j] and its
+    noise in MEASUREMENT_BASES[k]. Gates and noise act on each pair alone
+    (the noise on the second CNOT's qubits commutes with the first CNOT).
     """
     if not 0.0 <= p_g <= 1.0:
         raise ValueError("p_g must lie in [0, 1]")
@@ -420,8 +422,39 @@ def _distill(rho_a, rho_b, gates_a, gates_b, p_g: float) -> np.ndarray:
         if p_g > 0:
             out = depolarize(depolarize(out, p_g, qubit=0), p_g, qubit=1)
         mirrored.append(out)
-    g = np.einsum("kuma,jab,kvmb->jkuv", _ACCEPT.conj(), mirrored[1], _ACCEPT)
-    return mirrored[0][:, None, None] * g[None]
+    side_a, side_b = mirrored
+    return side_a, (side_b.reshape(-1, 16) @ _ACCEPT_MAP).reshape(-1, 3, 4, 4)
+
+
+def _distill(rho_a, rho_b, gates_a, gates_b, p_g: float) -> np.ndarray:
+    """Accepted, unnormalized output states of a family of plans.
+
+    Entry [i, j, k] is the plan with Alice gates (gates_a[i], gates_b[j])
+    measuring in MEASUREMENT_BASES[k]; its trace is the acceptance. The
+    bilateral CNOT maps (u, v) to (u, v xor u), so the accepted state is
+    the Hadamard product A[i] o G[j, k] of the ``_mirrored_factors``, with
+    G_k[u, u'] = sum_m (X^u w_m)^dag rho_b' (X^u' w_m).
+    """
+    a, g = _mirrored_factors(rho_a, rho_b, gates_a, gates_b, p_g)
+    return a[:, None, None] * g[None]
+
+
+def _first_best(fids: np.ndarray) -> int:
+    """Position kept by the index-order scan of ``optimize_distillation``.
+
+    The first entry is the incumbent, and a later one replaces it when it
+    is higher by more than 1e-12. Only strict prefix maxima can replace the
+    incumbent b: if f_i <= f_j for some j < i, then either j was kept and
+    b >= f_j >= f_i, or it was not and f_i <= f_j <= b + 1e-12. So the
+    scan visits those positions alone and keeps the same one.
+    """
+    before = np.maximum.accumulate(fids)
+    rising = np.flatnonzero(fids[1:] > before[:-1]) + 1
+    best, best_fid = 0, float(fids[0])
+    for pos, fid in zip(rising.tolist(), fids[rising].tolist()):
+        if fid > best_fid + 1e-12:
+            best, best_fid = pos, fid
+    return best
 
 
 def optimize_distillation(
@@ -430,24 +463,24 @@ def optimize_distillation(
     """Exhaustively search the mirrored-Clifford distillation family.
 
     Scores all 24 x 24 Alice gate pairs in the three measurement bases at
-    the given gate-noise level in one pass. Tie rule: plans are scanned in
-    index order (first gate, second gate, basis), plans accepting with
-    probability below 1e-9 are skipped, and a plan replaces the incumbent
-    only when its output fidelity is higher by more than 1e-12, so
-    near-ties go to the lowest index. The inputs are validated once, as in
-    ``run_distillation``.
+    the given gate-noise level from the per-side factors of
+    ``_mirrored_factors``: acceptance and Bell overlap are bilinear in
+    them, so each is one matrix product and no accepted state is formed.
+    Tie rule: plans are scanned in index order (first gate, second gate,
+    basis), plans accepting with probability below 1e-9 are skipped, and a
+    plan replaces the incumbent only when its output fidelity is higher by
+    more than 1e-12, so near-ties go to the lowest index. The inputs are
+    validated once, as in ``run_distillation``.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
-    accepted = _distill(rho_a, rho_b, _CLIFFORD_STACK, _CLIFFORD_STACK, p_g).reshape(-1, 4, 4)
-    weights = np.einsum("nuu->n", accepted).real
+    a, g = _mirrored_factors(rho_a, rho_b, _CLIFFORD_STACK, _CLIFFORD_STACK, p_g)
+    g = g.reshape(-1, 16)
+    weights = (a.reshape(-1, 16)[:, ::5] @ g[:, ::5].T).real.ravel()
     live = np.flatnonzero(weights >= _MIN_ACCEPTANCE)
-    overlap = np.einsum("u,nuv,v->n", PHI_PLUS.conj(), accepted, PHI_PLUS).real[live]
-    best, best_fid = None, -1.0
-    for index, fid in zip(live.tolist(), clip_unit(overlap / weights[live], "fidelity").tolist()):
-        if fid > best_fid + 1e-12:
-            best, best_fid = index, fid
-    if best is None:
+    if not live.size:
         raise ArithmeticError("no distillation plan had nonzero acceptance")
+    overlap = ((a * _PHI_OUTER).reshape(-1, 16) @ g.T).real.ravel()[live]
+    best = int(live[_first_best(clip_unit(overlap / weights[live], "fidelity"))])
     i, j, k = np.unravel_index(best, (24, 24, 3))
     return DistillationPlan((CLIFFORDS[i], CLIFFORDS[j]), MEASUREMENT_BASES[k], index=best)
 

@@ -56,10 +56,21 @@ class SchmidtDecomposition(NamedTuple):
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given arrays, first argument most significant."""
+    """Kronecker product of the given arrays, first argument most significant.
+
+    Two vectors or two matrices take the broadcast product, bit-equal to
+    ``np.kron`` and without its generic path; other shapes go to ``np.kron``.
+    """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        if out.ndim == op.ndim == 1:
+            out = (out[:, None] * op).reshape(-1)
+        elif out.ndim == op.ndim == 2:
+            (m, n), (p, q) = out.shape, op.shape
+            out = (out[:, None, :, None] * op[:, None, :]).reshape(m * p, n * q)
+        else:
+            out = np.kron(out, op)
     return out
 
 
@@ -72,11 +83,14 @@ def _dims_for(size: int) -> tuple[int, ...]:
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+    """Validate Hermiticity, unit trace and positivity of a density matrix.
+
+    Hermiticity is held to 1e-12 absolute in every entry; a NaN fails it.
+    """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if not np.allclose(rho, rho.conj().T, atol=1e-12):
+    if not abs(rho - rho.conj().T).max() <= 1e-12:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > NORM_TOL:
         raise ValueError("density matrix trace differs from 1 beyond 1e-12")

@@ -196,6 +196,16 @@ class TestSweep:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_usage_error(self, tmp_path, capsys, step):
+        code = main([
+            "sweep", "--protocols", "nec",
+            "--axis", "pd", "--range", f"0:0.1:{step}",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "step must be finite and positive" in capsys.readouterr().err
+
     def test_missing_axis_usage_error(self, tmp_path):
         code = main([
             "sweep", "--protocols", "nec",

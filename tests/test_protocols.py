@@ -587,6 +587,55 @@ class TestDistillationFamily:
         assert abs(res.output_fidelity - fids[plan.index]) <= 1e-12
 
 
+def family_scores(rho_a, rho_b, p_g):
+    """Acceptance and fidelity of every plan, from the states ``_distill`` forms."""
+    stack = np.array(CLIFFORDS)
+    acc = protocols._distill(rho_a, rho_b, stack, stack, p_g).reshape(-1, 4, 4)
+    weights = np.einsum("naa->n", acc).real
+    return weights, np.einsum("a,nab,b->n", PHI_PLUS.conj(), acc, PHI_PLUS).real / weights
+
+
+class TestTieScan:
+    @pytest.mark.parametrize("fids", [
+        [0.5, 0.5 + 0.8e-12, 0.5 + 1.6e-12, 0.5 + 2.4e-12],
+        [0.5, 0.5 + 1e-12, 0.5 + 2e-12, 0.5 + 3e-12],
+        [0.5, 0.5 + 1.2e-12, 0.5 + 2.4e-12, 0.5 + 3.6e-12],
+        [0.3, 0.7, 0.7, 0.7 + 1e-13, 0.7, 0.9, 0.9],
+        [0.9, 0.8, 0.7, 0.6, 0.5],
+        [0.25] * 6,
+        [0.0],
+    ])
+    def test_matches_plain_loop(self, fids):
+        fids = np.array(fids)
+        assert protocols._first_best(fids) == chain_choice(np.ones(fids.size), fids)
+
+    def test_matches_plain_loop_on_fine_ladders(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            steps = rng.choice([-1e-12, 0.0, 0.8e-12, 1e-12, 1.2e-12], size=40)
+            fids = 0.5 + np.cumsum(steps)
+            assert protocols._first_best(fids) == chain_choice(np.ones(fids.size), fids)
+
+    @pytest.mark.parametrize("p_g", [0.0, 0.01])
+    @pytest.mark.parametrize("rho_a, rho_b", [
+        (werner(0.8), werner(0.8)),
+        (werner(0.6), werner(0.9)),
+        (bell_diagonal([0.4, 0.2, 0.2, 0.2]), bell_diagonal([0.4, 0.2, 0.2, 0.2])),
+        (bell_diagonal([0.7, 0.1, 0.1, 0.1]), bell_diagonal([0.5, 0.5, 0.0, 0.0])),
+        (bell_diagonal([0.25] * 4), werner(0.75)),
+    ])
+    def test_search_matches_family_on_ties(self, rho_a, rho_b, p_g):
+        weights, fids = family_scores(rho_a, rho_b, p_g)
+        plan = optimize_distillation(rho_a, rho_b, p_g)
+        assert plan.index == chain_choice(weights, fids)
+
+    def test_full_gate_noise_ties_every_plan(self):
+        rho = werner(0.9)
+        weights, fids = family_scores(rho, rho, 0.75)
+        assert np.allclose(fids, 0.25, atol=1e-12)
+        assert optimize_distillation(rho, rho, 0.75).index == chain_choice(weights, fids)
+
+
 class TestOptimizeDistillation:
     def test_never_worse_than_reference_plan(self, rng):
         w = rng.random(4) + 0.05

@@ -43,6 +43,16 @@ class TestTensor:
         overlap = abs(np.vdot(PSI_MINUS, out))
         assert abs(overlap - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(4,), (3,), (4, 4), (2, 3)])
+    @pytest.mark.parametrize("factors", [2, 3])
+    def test_bit_equal_to_chained_kron(self, shape, factors):
+        rng = np.random.default_rng(factors)
+        ops = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(factors)]
+        ref = ops[0]
+        for op in ops[1:]:
+            ref = np.kron(ref, op)
+        assert tensor(*ops).tobytes() == ref.tobytes()
+
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
@@ -450,3 +460,13 @@ class TestValidators:
             assert_density_matrix(np.eye(2))
         with pytest.raises(ValueError):
             assert_density_matrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+
+    @pytest.mark.parametrize("skew, ok", [(3e-6, False), (1e-13, True), (np.nan, False)])
+    def test_hermiticity_bound_is_absolute(self, skew, ok):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = skew
+        if ok:
+            assert_density_matrix(rho)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                assert_density_matrix(rho)
