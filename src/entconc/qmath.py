@@ -58,15 +58,13 @@ class SchmidtDecomposition(NamedTuple):
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of the given arrays, first argument most significant.
 
-    Two vectors or two matrices take the broadcast product, bit-equal to
-    ``np.kron`` and without its generic path; other shapes go to ``np.kron``.
+    Two matrices take the broadcast product, bit-equal to ``np.kron`` and
+    without its generic path; other shapes go to ``np.kron``.
     """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         op = np.asarray(op, dtype=complex)
-        if out.ndim == op.ndim == 1:
-            out = (out[:, None] * op).reshape(-1)
-        elif out.ndim == op.ndim == 2:
+        if out.ndim == op.ndim == 2:
             (m, n), (p, q) = out.shape, op.shape
             out = (out[:, None, :, None] * op[:, None, :]).reshape(m * p, n * q)
         else:

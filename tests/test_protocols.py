@@ -554,6 +554,14 @@ def chain_choice(weights, fids):
     return best
 
 
+def family_scores(rho_a, rho_b, p_g):
+    """Acceptance and fidelity of every plan, from the states ``_distill`` forms."""
+    stack = np.array(CLIFFORDS)
+    acc = protocols._distill(rho_a, rho_b, stack, stack, p_g).reshape(-1, 4, 4)
+    weights = np.einsum("naa->n", acc).real
+    return weights, np.einsum("a,nab,b->n", PHI_PLUS.conj(), acc, PHI_PLUS).real / weights
+
+
 class TestDistillationFamily:
     @given(
         kind=st.sampled_from(["bell", "full"]),
@@ -574,10 +582,7 @@ class TestDistillationFamily:
                 pairs.append(m @ m.conj().T / np.trace(m @ m.conj().T).real)
         rho_a, rho_b = pairs
         weights, fids = reference_family(rho_a, rho_b, p_g)
-        stack = np.array(CLIFFORDS)
-        acc = protocols._distill(rho_a, rho_b, stack, stack, p_g).reshape(-1, 4, 4)
-        got_w = np.einsum("naa->n", acc).real
-        got_f = np.einsum("a,nab,b->n", PHI_PLUS.conj(), acc, PHI_PLUS).real / got_w
+        got_w, got_f = family_scores(rho_a, rho_b, p_g)
         assert np.max(np.abs(got_w - weights)) <= 1e-12
         assert np.max(np.abs(got_f - fids)) <= 1e-12
         plan = optimize_distillation(rho_a, rho_b, p_g)
@@ -585,14 +590,6 @@ class TestDistillationFamily:
         res = run_distillation(rho_a, rho_b, plan, p_g)
         assert abs(res.success_probability - weights[plan.index]) <= 1e-12
         assert abs(res.output_fidelity - fids[plan.index]) <= 1e-12
-
-
-def family_scores(rho_a, rho_b, p_g):
-    """Acceptance and fidelity of every plan, from the states ``_distill`` forms."""
-    stack = np.array(CLIFFORDS)
-    acc = protocols._distill(rho_a, rho_b, stack, stack, p_g).reshape(-1, 4, 4)
-    weights = np.einsum("naa->n", acc).real
-    return weights, np.einsum("a,nab,b->n", PHI_PLUS.conj(), acc, PHI_PLUS).real / weights
 
 
 class TestTieScan:
