@@ -16,7 +16,6 @@ B-data...] with the auxiliary register prepared in the all-zeros state.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -35,7 +34,9 @@ from .majorize import (
     vidal_probability,
 )
 from .noise import _depolarize_qubits
-from .qmath import _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor
+from .qmath import (
+    _check_probability, _dims_for, _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor,
+)
 
 COMPLETENESS_TOL = 1e-10
 SUPPORT_TOL = 1e-12
@@ -249,7 +250,7 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     els = np.asarray(povm.elements, dtype=float)
     m, d = els.shape
     on = povm.support
-    k = max(1, math.ceil(math.log2(m))) if m > 1 else 0
+    k = (m - 1).bit_length()
     ka = 2**k
     eye = np.eye(ka)
     col = np.zeros((np.count_nonzero(on), ka))
@@ -279,11 +280,7 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     has one outcome: on the support, ``embed_povm`` never builds the
     identity (the e_0 limit is diag(1, -1, 1, ...)).
     """
-    d, k = emb.data_dim, emb.aux_count
-    n_data = int(round(math.log2(d)))
-    if 2**n_data != d:
-        raise ValueError("data dimension must be a power of two for synthesis")
-    touched = tuple(range(n_data + k))
+    touched = tuple(range(len(_dims_for(emb.data_dim)) + emb.aux_count))
     per_block = 2 * (emb.n_outcomes - 1)
     on = np.flatnonzero(emb.support).tolist() if emb.n_outcomes > 1 else []
     # from a list: tuple() of a generator raised a long compile loop's peak RSS
@@ -323,8 +320,7 @@ def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
     Noise-induced outcomes beyond the element list get the identity
     permutation. Raises ValueError unless 0 <= p_g <= 1.
     """
-    if not 0.0 <= p_g <= 1.0:
-        raise ValueError("p_g must lie in [0, 1]")
+    _check_probability(p_g, "p_g")
     emb = rnd.embedding
     d = emb.data_dim
     ka = 2**emb.aux_count
@@ -395,8 +391,8 @@ def execute_filter(state: np.ndarray, filter_diag) -> tuple:
 
 
 def _equal_qubit_split(size: int) -> int:
-    n = int(round(math.log2(size)))
-    if 2**n != size or n % 2 != 0:
+    n = len(_dims_for(size))
+    if n % 2 != 0:
         raise ValueError("state size must be a power of 4 for an equal qubit split")
     return 2 ** (n // 2)
 
@@ -569,8 +565,7 @@ def run_schedule(
     unless 0 <= p_g <= 1, also for a schedule of no rounds, and unless
     ``state`` has shape (d^2, d^2) for the schedule's dimension d.
     """
-    if not 0.0 <= p_g <= 1.0:
-        raise ValueError("p_g must lie in [0, 1]")
+    _check_probability(p_g, "p_g")
     d = schedule.dim
     if state is None:
         mat = schedule.left_basis * np.sqrt(schedule.alpha) @ schedule.right_basis.T

@@ -11,12 +11,12 @@ Weight tuples are ordered (x, z, y) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import top_eigenstate
+from .qmath import _check_probability, _dims_for, top_eigenstate
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -24,6 +24,7 @@ _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 # axes of _depolarize_qubits' view: Z rho Z multiplies each entry by it
 _ZZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, None, :, None]
 _EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
+_EQUAL_AMPLITUDES = (_INV_SQRT3, _INV_SQRT3, _INV_SQRT3)
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) * _INV_SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) * _INV_SQRT2
@@ -64,26 +65,34 @@ class NoiseParams:
     """
 
     a: float = 0.0
-    coh_weights: tuple = (_INV_SQRT3, _INV_SQRT3, _INV_SQRT3)
+    coh_weights: tuple = _EQUAL_AMPLITUDES
     p_d: float = 0.0
-    depol_weights: tuple = field(default=(1 / 3, 1 / 3, 1 / 3))
+    depol_weights: tuple = _EQUAL_WEIGHTS
     p_g: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError("a must lie in [0, 1]")
-        if not 0.0 <= self.p_d <= 1.0:
-            raise ValueError("p_d must lie in [0, 1]")
-        if not 0.0 <= self.p_g <= 1.0:
-            raise ValueError("p_g must lie in [0, 1]")
+        for name in ("a", "p_d", "p_g"):
+            _check_probability(getattr(self, name), name)
         if len(self.coh_weights) != 3 or len(self.depol_weights) != 3:
             raise ValueError("weight tuples must have three entries (x, z, y)")
-        csum = sum(abs(complex(w)) ** 2 for w in self.coh_weights)
-        if abs(csum - 1.0) > 1e-12:
-            raise ValueError("coherent weights must have unit squared norm")
-        dsum = sum(float(w) for w in self.depol_weights)
-        if abs(dsum - 1.0) > 1e-12 or min(float(w) for w in self.depol_weights) < 0:
-            raise ValueError("depolarizing weights must be probabilities summing to 1")
+        _coherent_weights(self.coh_weights)
+        _pauli_weights(self.depol_weights)
+
+
+def _coherent_weights(weights) -> tuple:
+    """The amplitudes (x, z, y) as complex numbers, checked for unit squared norm."""
+    ex, ez, ey = (complex(w) for w in weights)
+    if not abs(abs(ex) ** 2 + abs(ez) ** 2 + abs(ey) ** 2 - 1.0) <= 1e-12:
+        raise ValueError("coherent weights must have unit squared norm")
+    return ex, ez, ey
+
+
+def _pauli_weights(weights) -> tuple:
+    """The probabilities (x, z, y) as floats, checked to be nonnegative and sum to 1."""
+    wx, wz, wy = (float(w) for w in weights)
+    if not abs(wx + wz + wy - 1.0) <= 1e-12 or min(wx, wz, wy) < 0:
+        raise ValueError("depolarizing weights must be probabilities summing to 1")
+    return wx, wz, wy
 
 
 def coherent_state(a: float, weights=None) -> np.ndarray:
@@ -94,13 +103,8 @@ def coherent_state(a: float, weights=None) -> np.ndarray:
     amplitudes sqrt(a) * weights. ``weights`` defaults to the symmetric
     choice 1/sqrt(3) each and is ordered (x, z, y).
     """
-    if weights is None:
-        weights = (_INV_SQRT3, _INV_SQRT3, _INV_SQRT3)
-    ex, ez, ey = (complex(w) for w in weights)
-    if abs(abs(ex) ** 2 + abs(ez) ** 2 + abs(ey) ** 2 - 1.0) > 1e-12:
-        raise ValueError("coherent weights must have unit squared norm")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("a must lie in [0, 1]")
+    ex, ez, ey = _coherent_weights(_EQUAL_AMPLITUDES if weights is None else weights)
+    _check_probability(a, "a")
     psi = np.sqrt(1.0 - a) * PHI_PLUS + np.sqrt(a) * (
         ex * PSI_PLUS + ez * PHI_MINUS + ey * PSI_MINUS
     )
@@ -119,21 +123,13 @@ def depolarize(rho: np.ndarray, p_d: float, weights=None, qubit: int = 1) -> np.
     ``p_d``, a dimension that is not a power of two, or a qubit outside
     [0, n).
     """
-    if weights is None:
-        weights = _EQUAL_WEIGHTS
-    wx, wz, wy = (float(w) for w in weights)
-    if abs(wx + wz + wy - 1.0) > 1e-12 or min(wx, wz, wy) < 0:
-        raise ValueError("depolarizing weights must be probabilities summing to 1")
-    if not 0.0 <= p_d <= 1.0:
-        raise ValueError("p_d must lie in [0, 1]")
+    weights = _pauli_weights(_EQUAL_WEIGHTS if weights is None else weights)
+    _check_probability(p_d, "p_d")
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[-1]
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"state dimension {dim} is not a power of two")
+    n = len(_dims_for(rho.shape[-1]))
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} is outside a register of {n} qubits")
-    return _depolarize_qubits(rho, p_d, (qubit,), (wx, wz, wy))
+    return _depolarize_qubits(rho, p_d, (qubit,), weights)
 
 
 def _depolarize_qubits(rho, p_d: float, qubits, weights=_EQUAL_WEIGHTS) -> np.ndarray:

@@ -36,6 +36,7 @@ from .noise import PHI_PLUS, depolarize, surrogate
 from .qmath import (
     PAULI_I,
     PAULI_X,
+    _check_probability,
     assert_density_matrix,
     clip_unit,
     fidelity,
@@ -413,8 +414,7 @@ def _mirrored_factors(rho_a, rho_b, gates_a, gates_b, p_g: float) -> tuple:
     noise in MEASUREMENT_BASES[k]. Gates and noise act on each pair alone
     (the noise on the second CNOT's qubits commutes with the first CNOT).
     """
-    if not 0.0 <= p_g <= 1.0:
-        raise ValueError("p_g must lie in [0, 1]")
+    _check_probability(p_g, "p_g")
     mirrored = []
     for rho, gates in ((rho_a, gates_a), (rho_b, gates_b)):
         ops = np.einsum("nab,ncd->nacbd", gates, gates.conj()).reshape(-1, 4, 4)

@@ -56,28 +56,34 @@ class SchmidtDecomposition(NamedTuple):
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given arrays, first argument most significant.
+    """Kronecker product of arrays of one rank, first argument most significant.
 
-    Two matrices take the broadcast product, bit-equal to ``np.kron`` and
-    without its generic path; other shapes go to ``np.kron``.
+    One broadcast product per factor; each entry is the single product
+    a[i] b[j], so the result is bit-equal to ``np.kron``.
     """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         op = np.asarray(op, dtype=complex)
-        if out.ndim == op.ndim == 2:
-            (m, n), (p, q) = out.shape, op.shape
-            out = (out[:, None, :, None] * op[:, None, :]).reshape(m * p, n * q)
-        else:
-            out = np.kron(out, op)
+        r = out.ndim
+        if op.ndim != r:
+            raise ValueError(f"tensor operands of rank {r} and {op.ndim}")
+        shape = [m * n for m, n in zip(out.shape, op.shape)]
+        out = (out[(slice(None), None) * r] * op[(None, slice(None)) * r]).reshape(shape)
     return out
 
 
 def _dims_for(size: int) -> tuple[int, ...]:
-    """Qubit dimensions (2, 2, ...) of a register of the given size."""
-    n = int(round(np.log2(size)))
+    """Qubit dimensions (2, 2, ...) of a register whose size is a power of two."""
+    n = int(size).bit_length() - 1
     if 2**n != size:
         raise ValueError(f"size {size} is not a power of two")
     return (2,) * n
+
+
+def _check_probability(value, name: str) -> None:
+    """Raise ValueError unless ``value`` lies in [0, 1]; a NaN fails."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:
@@ -344,43 +350,34 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 def top_eigenstate(rho: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a density matrix.
 
-    If the top eigenvalue is degenerate within TOP_DEGENERACY_TOL the
-    eigenvector with the largest overlap onto the uniform-diagonal reference
-    (the maximally entangled diagonal for square dimensions) is chosen and a
-    RuntimeWarning is raised. The returned vector's largest-magnitude
-    amplitude is phase-fixed to be real positive.
+    A simple top eigenvalue gives its eigenvector, phased so that the
+    largest-magnitude amplitude is real positive. A top eigenvalue
+    degenerate within TOP_DEGENERACY_TOL raises a RuntimeWarning, and the
+    vector and its phase depend on the eigenspace alone: the normalized
+    projection of the uniform-diagonal reference (Phi+ for 4x4, none for a
+    non-square size) if its norm exceeds PIN_TOL, else the first vector of
+    ``_canonical_span`` (shared with the Schmidt gauge pin), the
+    normalized projection of the first coordinate axis the span reaches.
     """
     rho = np.asarray(rho, dtype=complex)
     evals, evecs = np.linalg.eigh(rho)
     top = evals[-1]
     degenerate = np.nonzero(evals > top - TOP_DEGENERACY_TOL)[0]
-    vec = evecs[:, degenerate[-1]]
     if len(degenerate) > 1:
         warnings.warn(
-            f"top eigenvalue degenerate within {TOP_DEGENERACY_TOL}: "
-            f"{evals[degenerate]}",
-            RuntimeWarning,
-            stacklevel=2,
+            f"top eigenvalue degenerate within {TOP_DEGENERACY_TOL}: {evals[degenerate]}",
+            RuntimeWarning, stacklevel=2,
         )
         d = rho.shape[0]
-        s = int(round(np.sqrt(d)))
-        ref = np.zeros(d, dtype=complex)
-        if s * s == d:
-            ref[:: s + 1] = 1.0 / np.sqrt(s)
-        else:
-            ref[0] = 1.0
+        s = math.isqrt(d)
+        ref = np.eye(s).ravel() / np.sqrt(s) if s * s == d else np.zeros(d)
         sub = evecs[:, degenerate]
         coords = sub.conj().T @ ref
-        if np.linalg.norm(coords) > 1e-6:
-            candidate = sub @ (coords / np.linalg.norm(coords))
-            if np.linalg.norm(rho @ candidate - top * candidate) <= STRUCTURAL_TOL:
-                vec = candidate
-            else:
-                vec = sub[:, int(np.argmax(np.abs(coords)))]
-        else:
-            vec = sub[:, int(np.argmax(np.abs(coords)))]
-    phase = vec[int(np.argmax(np.abs(vec)))]
-    vec = vec * (phase.conj() / abs(phase))
+        norm = np.linalg.norm(coords)
+        vec = sub @ (coords / norm if norm > PIN_TOL else _canonical_span(sub)[:, 0])
+    else:
+        phase = evecs[int(np.argmax(np.abs(evecs[:, -1]))), -1]
+        vec = evecs[:, -1] * (phase.conj() / abs(phase))
     resid = np.linalg.norm(rho @ vec - top * vec)
     if resid > STRUCTURAL_TOL:
         raise ArithmeticError(f"eigenpair residual {resid:.3e} exceeds 1e-10")

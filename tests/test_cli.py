@@ -233,6 +233,16 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("weights", ["nan,0,0", "1,nan,0"])
+    def test_nan_weights_usage_error(self, tmp_path, capsys, weights):
+        code = main([
+            "sweep", "--protocols", "nec", "--axis", "pd", "--range", "0:0.01:0.01",
+            "--weights", weights, "--out", str(tmp_path / "x.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invalid_pair_state_exits_3(self, tmp_path, monkeypatch, capsys):
         import entconc.cli as cli
 

@@ -539,6 +539,19 @@ class TestSynthesize:
         assert [b.index for b in rep.blocks] == [0, 1, 3]
         assert np.array_equal(emb.blocks[0], np.diag([1.0, -1.0]))
 
+    def test_rejects_data_dimension_not_power_of_two(self):
+        povm = DiagonalPOVM(
+            elements=[np.full(3, 0.5)] * 2,
+            corrections=[np.arange(3)] * 2,
+        )
+        with pytest.raises(ValueError, match="power of two"):
+            synthesize(embed_povm(povm))
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_aux_count_is_ceil_log2(self, m):
+        povm = DiagonalPOVM(elements=[np.full(2, 1.0 / m)] * m, corrections=[np.arange(2)] * m)
+        assert embed_povm(povm).aux_count == (max(1, int(np.ceil(np.log2(m)))) if m > 1 else 0)
+
 
 class FallbackCalled(Exception):
     pass

@@ -184,6 +184,45 @@ class TestNoiseParams:
             NoiseParams(**kwargs)
 
 
+class TestSharedChecks:
+    """The probability and weight rules give one message wherever they apply."""
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("a", lambda x: NoiseParams(a=x)),
+            ("p_d", lambda x: NoiseParams(p_d=x)),
+            ("p_g", lambda x: NoiseParams(p_g=x)),
+            ("a", lambda x: coherent_state(x)),
+            ("p_d", lambda x: depolarize(np.eye(4) / 4, x)),
+        ],
+    )
+    @pytest.mark.parametrize("value", [-1e-9, 1.0 + 1e-9, float("nan")])
+    def test_probability(self, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]$"):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda w: NoiseParams(coh_weights=w), lambda w: coherent_state(0.1, w)],
+    )
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 0.0), (float("nan"), 0.0, 0.0)])
+    def test_coherent_norm(self, call, weights):
+        with pytest.raises(ValueError, match="coherent weights must have unit squared norm"):
+            call(weights)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda w: NoiseParams(depol_weights=w), lambda w: depolarize(np.eye(4) / 4, 0.1, w)],
+    )
+    @pytest.mark.parametrize(
+        "weights", [(0.5, 0.5, 0.5), (1.5, -0.25, -0.25), (float("nan"), 0.5, 0.5)]
+    )
+    def test_pauli_probabilities(self, call, weights):
+        with pytest.raises(ValueError, match="depolarizing weights must be probabilities summing"):
+            call(weights)
+
+
 class TestPrepareState:
     def test_perfect_pair(self):
         rho = prepare_state(NoiseParams())

@@ -276,6 +276,23 @@ class TestRunCec:
         assert worse.catalyst_fidelity_after < res.catalyst_fidelity_after
 
 
+class TestDegenerateTopEigenspace:
+    """At a = 0 and p_d > 3/4 both pairs plan against Phi-, a deterministic conversion."""
+
+    @pytest.mark.parametrize("p_d", [0.8, 0.825])
+    def test_nec_and_cec_succeed_at_eight_mcx(self, p_d):
+        from entconc.protocols import nec_planning_states
+
+        rho = prepare_state(NoiseParams(a=0.0, p_d=p_d))
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            nec = run_nec(rho, rho)
+            spec = find_catalyst(*nec_planning_states(rho, rho))
+            cec = run_cec(rho, rho, spec)
+        for res in (nec, cec):
+            assert res.success_probability == pytest.approx(1.0, abs=1e-12)
+            assert res.schedule.mcx_total == 8
+
+
 class TestCleanPairSacrifice:
     """At a = 0 one pair is sacrificed and the output keeps only its own noise."""
 

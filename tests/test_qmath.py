@@ -12,6 +12,7 @@ from entconc import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
     NoiseParams,
@@ -52,6 +53,25 @@ class TestTensor:
         for op in ops[1:]:
             ref = np.kron(ref, op)
         assert tensor(*ops).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    @pytest.mark.parametrize("factors", [2, 3])
+    def test_never_calls_np_kron(self, monkeypatch, shape, factors):
+        rng = np.random.default_rng(factors)
+        ops = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(factors)]
+        ref = ops[0]
+        for op in ops[1:]:
+            ref = np.kron(ref, op)
+
+        def no_kron(*args):
+            raise AssertionError("tensor called np.kron")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        assert tensor(*ops).tobytes() == ref.tobytes()
+
+    def test_unequal_rank_raises(self):
+        with pytest.raises(ValueError, match="rank"):
+            tensor(np.ones(2), np.eye(2))
 
 
 class TestPartialTrace:
@@ -409,6 +429,62 @@ class TestTopEigenstate:
         assert abs(abs(np.vdot(PHI_PLUS, vec)) - 1.0) < 1e-10
 
 
+def rotate_top_cluster(monkeypatch, seed):
+    """Make np.linalg.eigh return its top degenerate cluster in a random basis.
+
+    The columns of the eigenvalues within TOP_DEGENERACY_TOL of the largest
+    are rotated by a seeded Haar-random unitary.
+    """
+    eigh = np.linalg.eigh
+    rng = np.random.default_rng(seed)
+
+    def rotated(a):
+        evals, evecs = eigh(a)
+        top = np.flatnonzero(evals > evals[-1] - qmath.TOP_DEGENERACY_TOL)
+        z = rng.normal(size=(top.size, top.size)) + 1j * rng.normal(size=(top.size, top.size))
+        q, r = np.linalg.qr(z)
+        evecs = evecs.copy()
+        evecs[:, top] = evecs[:, top] @ (q * (np.diag(r) / abs(np.diag(r))))
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+
+
+class TestDegenerateSurrogate:
+    """A degenerate top eigenspace gives one vector, whatever basis LAPACK returns."""
+
+    @staticmethod
+    def surrogates(rho, monkeypatch, seed):
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            plain = top_eigenstate(rho)[1]
+        rotate_top_cluster(monkeypatch, seed)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            rotated = top_eigenstate(rho)[1]
+        return plain, rotated
+
+    @pytest.mark.parametrize("p_d", [0.76, 0.8, 0.825, 0.9, 0.99, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_phi_minus_beyond_three_quarters(self, monkeypatch, p_d, seed):
+        # at a = 0 and p_d > 3/4 the top eigenspace is span{Phi-, Psi+, Psi-}
+        rho = prepare_state(NoiseParams(a=0.0, p_d=p_d))
+        plain, rotated = self.surrogates(rho, monkeypatch, seed)
+        assert abs(rotated - plain).max() < 1e-12
+        assert abs(plain - PHI_MINUS).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_maximally_mixed_stays_phi_plus(self, monkeypatch, seed):
+        plain, rotated = self.surrogates(np.eye(4, dtype=complex) / 4, monkeypatch, seed)
+        assert abs(rotated - plain).max() < 1e-12
+        assert abs(plain - PHI_PLUS).max() < 1e-12
+
+    @pytest.mark.parametrize("diag, axis", [([0.5, 0.5], 0), ([0.0, 0.5, 0.5], 1)])
+    def test_non_square_takes_first_axis_reached(self, monkeypatch, diag, axis):
+        rho = np.diag(diag).astype(complex)
+        plain, rotated = self.surrogates(rho, monkeypatch, 3)
+        assert abs(rotated - plain).max() < 1e-12
+        assert abs(plain - np.eye(len(diag))[axis]).max() < 1e-12
+
+
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         psi = random_pure_state(rng, 4)
@@ -470,3 +546,14 @@ class TestValidators:
         else:
             with pytest.raises(ValueError, match="Hermitian"):
                 assert_density_matrix(rho)
+
+
+class TestDimsFor:
+    @pytest.mark.parametrize("size, n", [(1, 0), (2, 1), (8, 3), (64, 6)])
+    def test_powers_of_two(self, size, n):
+        assert qmath._dims_for(size) == (2,) * n
+
+    @pytest.mark.parametrize("size", [0, -4, 3, 6, 12])
+    def test_other_sizes_raise(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            qmath._dims_for(size)
