@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from typing import NamedTuple
 
@@ -85,6 +85,8 @@ class DiagonalPOVM:
         object.__setattr__(self, "corrections", tuple(self.corrections))
         if len(self.elements) != len(self.corrections):
             raise ValueError("need one correction permutation per element")
+        if not self.elements:
+            raise ValueError("a POVM needs at least one element")
         els = np.asarray(self.elements, dtype=float)
         d = els.shape[-1]
         if not _are_permutations(self.corrections, d):
@@ -156,6 +158,24 @@ class ScheduleRound:
         emb, corr = self.embedding, self.povm.corrections
         pad = repeat(np.arange(emb.data_dim), 2**emb.aux_count - len(corr))
         return np.array([*corr, *pad])
+
+    @cached_property
+    def kraus_rows(self) -> tuple:
+        """(relabel, rows) of every auxiliary outcome m, read-only.
+
+        With inv_m the inverse of outcome m's correction, ``relabel[m]`` is
+        the flat pair index inv_m[x] d + inv_m[y] that gathers the branch,
+        and ``rows[m]`` holds the relabelled block rows u[inv_m, m, :], from
+        which ``run_schedule`` builds the outcome's Kraus multiplier. They
+        depend only on the compiled round, so they are built on its first
+        execution and kept.
+        """
+        d = self.embedding.data_dim
+        inv = np.argsort(self.corrections, axis=1)
+        relabel = (inv[:, :, None] * d + inv[:, None, :]).reshape(len(inv), -1)
+        rows = self.embedding.blocks[inv, np.arange(len(inv))[:, None], :]
+        _read_only(relabel, rows)
+        return relabel, rows
 
 
 @dataclass(frozen=True)
@@ -375,7 +395,7 @@ def execute_filter(state: np.ndarray, filter_diag) -> tuple:
     weight is tr(F rho F†), clipped into [0, 1] by ``clip_unit``.
     """
     f = np.asarray(filter_diag, dtype=float).reshape(-1)
-    if np.max(f**2) > 1 + 1e-10 or f.min() < 0:
+    if not (np.max(f**2) <= 1 + 1e-10 and f.min() >= 0):
         raise ValueError("filter entries must satisfy 0 <= f_i^2 <= 1")
     d = f.size
     dim = state.shape[0]
@@ -442,13 +462,30 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     a tuple. Everything up to the folded step chain does not depend on
     ``g`` and is kept in a second memo of the same bound, keyed on the input
     bytes alone, so the schedules of one input at several g share their
-    frames and vectors. Code that patches the compile path's internals must
-    call ``compile_schedule.cache_clear()`` first; it empties both memos.
+    frames and vectors. A third memo of the same bound keeps the target's
+    identity-pinned Schmidt decomposition per target and register size,
+    shared by every source planned against that target. Code that patches
+    the compile path's internals must call ``compile_schedule.cache_clear()``
+    first; it empties all three memos.
     """
     g = operator.index(g)
     if g < 1:
         raise ValueError("group size must be at least 1")
     return _compile_schedule(_input_bytes(surrogate), _input_bytes(target), g)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _target_plan(target: bytes, d_l: int, d_r: int):
+    """Schmidt decomposition of the padded target, pinned to the identity.
+
+    Memoized on the target bytes and the source's register sizes: the NEC
+    target and the padded Bell targets recur across sources. Its arrays
+    are read-only; ``_plan`` copies the bases before re-pinning them.
+    """
+    t_full = _pad_target(np.frombuffer(target, dtype=complex), d_l, d_r)
+    dec = schmidt_decompose(t_full, d_l, d_r)
+    _read_only(*dec)
+    return dec
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -462,13 +499,14 @@ def _plan(source: bytes, target: bytes) -> tuple:
     schedules of every g share it.
     """
     s = np.frombuffer(source, dtype=complex)
-    t = np.frombuffer(target, dtype=complex)
     d_l = _equal_qubit_split(s.size)
     d_r = s.size // d_l
-    if t.size > s.size:
+    if len(target) > len(source):
         raise ValueError("target does not fit in the source registers")
-    t_full = _pad_target(t, d_l, d_r)
-    beta_dec = schmidt_decompose(t_full, d_l, d_r)
+    pinned = _target_plan(target, d_l, d_r)
+    beta_dec = pinned._replace(
+        left_basis=pinned.left_basis.copy(), right_basis=pinned.right_basis.copy()
+    )
     alpha_dec = schmidt_decompose(
         s, d_l, d_r, (beta_dec.left_basis, beta_dec.right_basis)
     )
@@ -535,6 +573,7 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
 def _clear_memos() -> None:
     _compile_schedule.cache_clear()
     _plan.cache_clear()
+    _target_plan.cache_clear()
 
 
 compile_schedule.cache_info = _compile_schedule.cache_info
@@ -558,7 +597,8 @@ def run_schedule(
     outcome's branch is gathered by two ``take``s of its inverse
     correction, which send the pair index (x, y) to (inv[x], inv[y]),
     multiplied by its relabelled M_m, and the branches are summed in
-    outcome order.
+    outcome order. The index and the relabelled rows of U are the round's
+    ``kraus_rows``, built on its first execution.
 
     With ``state`` omitted the pure source state of the schedule is used.
     Returns (success probability, output density matrix). Raises ValueError
@@ -581,11 +621,8 @@ def run_schedule(
         rho, prob = _gate_noise(rho, rnd, p_g, d.bit_length() - 1)
         mix = np.array([1.0 - 2.0 * prob / 3.0, 2.0 * prob / 3.0])
         aux = reduce(np.multiply.outer, repeat(mix, rnd.embedding.aux_count), np.ones(()))
-        u = rnd.embedding.blocks
-        kraus = np.einsum("jmx,x,kmx->mjk", u, aux.ravel(), u.conj())
-        inv = np.argsort(rnd.corrections, axis=1)
-        relabel = (inv[:, :, None] * d + inv[:, None, :]).reshape(len(inv), -1)
-        mats = np.take_along_axis(kraus.reshape(len(inv), -1), relabel, axis=1)
+        relabel, rows = rnd.kraus_rows
+        mats = np.einsum("mjx,x,mkx->mjk", rows, aux.ravel(), rows.conj())
         branches = (
             rho.take(idx, axis=0).take(idx, axis=1).reshape(d, d, d, d) * mat.reshape(d, 1, d, 1)
             for idx, mat in zip(relabel, mats)

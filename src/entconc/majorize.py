@@ -225,18 +225,34 @@ def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
     """Birkhoff terms of a step's matrix t I + (1-t) P, without the search.
 
     ``birkhoff_decompose``'s peel of ``expand_step(step, d)``, bit for bit,
-    with each matching in closed form: of I and P, which carry the whole
-    matrix, the one of larger bottleneck, I on a tie within the search's
-    1e-15. Valid for t in [0, 1].
+    run on the matrix's three entry classes, which the peel keeps uniform:
+    moved diagonal (t), moved off-diagonal (1 - t) and, when some
+    coordinate is fixed, fixed diagonal (1). Of I and P, which carry the
+    whole matrix, each step peels the one of larger bottleneck, I on a tie
+    within the search's 1e-15. Valid for t in [0, 1].
     """
     ident = np.arange(d)
     swap = ident.copy()
     for j, k, _ in step:
         swap[j], swap[k] = k, j
-
-    def match(m):
-        return swap if m.diagonal().min() < m[ident, swap].min() - 1e-15 else ident
-    return _peel(expand_step(step, d), match)
+    fixed = 2 * len(step) < d
+    # with no fixed coordinate its class is inf: it then bounds no minimum
+    diag, off, fix = step[0].t, 1.0 - step[0].t, 1.0 if fixed else np.inf
+    terms = []
+    for _ in range((d - 1) ** 2 + 2):
+        if max(diag, off, fix if fixed else 0.0) < 1e-13:
+            break
+        on_ident, on_swap = min(diag, fix), min(off, fix)
+        if on_ident < on_swap - 1e-15:
+            q, perm, off = on_swap, swap, off - on_swap
+        else:
+            q, perm, diag = on_ident, ident, diag - on_ident
+        fix -= q
+        diag, off, fix = (0.0 if x < 1e-15 else x for x in (diag, off, fix))
+        terms.append((q, perm))
+    else:
+        raise ArithmeticError(_TERM_BOUND)
+    return _normalized(terms)
 
 
 def group_ttransforms(steps: list, g: int, d: int) -> list[np.ndarray]:
@@ -320,31 +336,103 @@ def _lex_bottleneck_matching(m: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _peel(m: np.ndarray, match) -> list[tuple[float, np.ndarray]]:
-    """Greedy extraction of Birkhoff terms from m, in place.
+def _support_matchings(rows: list, cap: int) -> list | None:
+    """Perfect matchings of the positive entries of ``rows``, lexicographic.
 
-    Each step removes the largest weight that the permutation ``match(m)``
-    carries, zeroes entries below 1e-15, and the peel stops once all are
-    below 1e-13. The weights are returned divided by their sum.
+    A depth-first search in row order over ascending columns, so the list
+    comes out sorted; each matching is its tuple of columns, one per row.
+    Returns None once more than ``cap`` are found.
     """
-    terms = []
-    rows = np.arange(len(m))
-    bound = (len(m) - 1) ** 2 + 1
-    for _ in range(bound + 1):
-        if m.max() < 1e-13:
-            break
-        perm = match(m)
-        picked = m[rows, perm]
-        q = float(picked.min())
-        m[rows, perm] = picked - q
-        m[m < 1e-15] = 0.0
-        terms.append((q, perm))
-    else:
-        raise ArithmeticError("Birkhoff extraction exceeded the term bound")
+    d = len(rows)
+    adj = [[c for c, x in enumerate(row) if x > 0.0] for row in rows]
+    found: list = []
+    cols = [0] * d
+    used = [False] * d
+
+    def extend(r: int) -> bool:
+        if r == d:
+            found.append(tuple(cols))
+            return len(found) > cap
+        for c in adj[r]:
+            if not used[c]:
+                used[c], cols[r] = True, c
+                stop = extend(r + 1)
+                used[c] = False
+                if stop:
+                    return True
+        return False
+
+    return None if extend(0) else found
+
+
+def _first_bottleneck(matchings: list, d: int):
+    """``_lex_bottleneck_matching`` over a list of all candidate matchings.
+
+    ``matchings`` must hold every perfect matching of the matrix's positive
+    entries in lexicographic order (``_support_matchings``); the returned
+    rule takes the flat row-major entries of the matrix. B is the best
+    bottleneck over the list, the threshold is the largest entry above
+    1e-15 that B reaches within 1e-15, less 1e-15, and the matching is the
+    first whose entries all clear it: the binary search's threshold and
+    the lexicographically smallest matching above it.
+    """
+    flat_idx = [[r * d + c for r, c in enumerate(cols)] for cols in matchings]
+
+    def match(flat: list) -> tuple:
+        lows = [min(map(flat.__getitem__, idx)) for idx in flat_idx]
+        best = max(lows)
+        # for B above 1e-15 the threshold lies in [B - 1e-15, B]: a first
+        # matching at B needs no scan for it
+        first = next(i for i, low in enumerate(lows) if low >= best - 1e-15)
+        if lows[first] < best or best <= 1e-15:
+            top = max((x for x in flat if x > 1e-15 and x - 1e-15 <= best), default=None)
+            if top is None:
+                raise ArithmeticError("matrix has no positive perfect matching")
+            first = next(i for i, low in enumerate(lows) if low >= top - 1e-15)
+        return matchings[first]
+
+    return match
+
+
+_TERM_BOUND = "Birkhoff extraction exceeded the term bound"
+# Past this many support matchings (40320 for a dense 8 x 8 matrix) a
+# decomposition binary-searches each bottleneck instead of listing them.
+MATCHING_CAP = 256
+
+
+def _normalized(terms: list) -> list[tuple[float, np.ndarray]]:
     total = sum(q for q, _ in terms)
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"Birkhoff weights sum to {total}, not 1")
     return [(q / total, p) for q, p in terms]
+
+
+def _peel(flat: list, d: int, match) -> list[tuple[float, np.ndarray]]:
+    """Greedy extraction of Birkhoff terms from the flat d x d matrix, in place.
+
+    Each step removes the largest weight that the matching ``match(flat)``
+    (a column per row) carries, zeroes entries below 1e-15, and the peel
+    stops once all are below 1e-13. The weights are returned divided by
+    their sum.
+    """
+    terms = []
+    for _ in range((d - 1) ** 2 + 2):
+        if max(flat) < 1e-13:
+            break
+        cols = match(flat)
+        idx = [r * d + c for r, c in enumerate(cols)]
+        q = min(map(flat.__getitem__, idx))
+        for i in idx:
+            x = flat[i] - q
+            flat[i] = 0.0 if x < 1e-15 else x
+        if not terms:
+            # the input's own entries below 1e-15 go with the first term;
+            # after it, a term changes only the entries it carries
+            flat[:] = [0.0 if x < 1e-15 else x for x in flat]
+        terms.append((q, np.array(cols, dtype=int)))
+    else:
+        raise ArithmeticError(_TERM_BOUND)
+    return _normalized(terms)
 
 
 def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -352,11 +440,15 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
 
     Greedy max-bottleneck extraction: each step removes the largest weight
     supported on strictly positive entries, zeroing at least one entry, so
-    the term count is bounded by (d-1)^2 + 1. Permutations are returned as
-    index arrays p with matrix[i, p[i]] = 1, so (P v)[i] = v[p[i]].
-    Entries down to -RECON_TOL count as nonnegative.
+    the term count is bounded by (d-1)^2 + 1. The matching of each step is
+    ``_lex_bottleneck_matching``'s; the perfect matchings of the input's
+    positive support are listed once (``_support_matchings``), and each
+    step picks from that list (``_first_bottleneck``). Past MATCHING_CAP of
+    them, each step runs ``_lex_bottleneck_matching`` itself. Permutations
+    are returned as index arrays p with matrix[i, p[i]] = 1, so
+    (P v)[i] = v[p[i]]. Entries down to -RECON_TOL count as nonnegative.
     """
-    m = np.asarray(dmat, dtype=float).copy()
+    m = np.asarray(dmat, dtype=float)
     d = m.shape[0]
     if m.shape != (d, d) or m.min() < -RECON_TOL:
         raise ValueError("not a nonnegative square matrix")
@@ -364,7 +456,11 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
     if not np.all(np.abs(sums - 1.0) <= 1e-9 + 1e-5):
         raise ValueError("matrix is not doubly stochastic")
-    return _peel(m, _lex_bottleneck_matching)
+    flat = m.ravel().tolist()
+    matchings = _support_matchings(m.tolist(), MATCHING_CAP)
+    if matchings is None:
+        return _peel(flat, d, lambda f: _lex_bottleneck_matching(np.reshape(f, (d, d))))
+    return _peel(flat, d, _first_bottleneck(matchings, d))
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:

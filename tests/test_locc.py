@@ -192,6 +192,25 @@ class TestKrausExecution:
             assert np.max(np.abs(w * got - block)) < 1e-12
 
 
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("kind", ["nec", "cec", "random8"])
+    def test_kraus_rows_are_kept_read_only(self, kind, g):
+        sched, state = schedule_and_state(kind, g, np.random.default_rng(7))
+        first = run_schedule(sched, state, 1e-3)
+        for rnd in sched.rounds:
+            relabel, rows = rnd.kraus_rows
+            assert rnd.kraus_rows[0] is relabel and rnd.kraus_rows[1] is rows
+            d = rnd.embedding.data_dim
+            for m, perm in enumerate(rnd.corrections):
+                inv = np.argsort(perm)
+                assert np.array_equal(relabel[m], (inv[:, None] * d + inv).ravel())
+                assert np.array_equal(rows[m], rnd.embedding.blocks[inv, m])
+            for arr in (relabel, rows):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = arr.flat[0]
+        second = run_schedule(sched, state, 1e-3)
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
 class TestJsPovm:
     def test_projective_case(self):
         dmat = 0.75 * np.eye(2) + 0.25 * swap2()
@@ -286,6 +305,10 @@ class TestDiagonalPovmValidation:
         )
         assert list(povm.support) == [True, False]
 
+
+    def test_no_elements_rejected(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            DiagonalPOVM([], [])
 
 class TestEmbedPovm:
     def test_certain_outcome_gives_z(self):
@@ -741,6 +764,11 @@ class TestExecuteFilter:
             assert 0.0 <= w <= 1.0
             assert 0.0 <= sched.success_probability <= 1.0
 
+
+    @pytest.mark.parametrize("f", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_nan_entry_rejected(self, f):
+        with pytest.raises(ValueError, match="filter entries must satisfy"):
+            execute_filter(np.eye(4) / 4, np.array(f))
 
 class TestCompileSchedule:
     def test_majorized_source_is_deterministic(self):

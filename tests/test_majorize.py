@@ -9,12 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_pure_state, random_schmidt_vector
 
 from entconc import (
+    NoiseParams,
+    PHI_PLUS,
     TTransform,
     birkhoff_decompose,
     build_doubly_stochastic,
+    catalyst_from_schmidt,
+    compile_schedule,
     fold_ttransforms,
     group_ttransforms,
     is_majorized,
+    js_povm,
+    majorize,
+    prepare_state,
     schmidt_decompose,
     step_terms,
     t_transform_decompose,
@@ -22,11 +29,14 @@ from entconc import (
     vidal_probability,
 )
 from entconc.majorize import (
+    MATCHING_CAP,
     _lex_bottleneck_matching,
+    _support_matchings,
     expand_step,
     expand_ttransform,
     permutation_matrix,
 )
+from entconc.protocols import cec_planning_states
 
 
 def random_majorized_pair(rng, d):
@@ -505,6 +515,97 @@ class TestLexBottleneckReference:
             assert [q for q, _ in got] == [q for q, _ in want]
             assert all(np.array_equal(p, r) for (_, p), (_, r) in zip(got, want))
 
+
+def assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for (q_got, p_got), (q_want, p_want) in zip(got, want):
+        assert q_got == q_want
+        assert np.array_equal(p_got, p_want)
+
+
+def dense_step_product(t):
+    """Product of the three 4-pair steps j <-> j xor b, b = 1, 2, 4, on 8 coordinates.
+
+    Every entry is positive, so all 8! = 40320 permutations are perfect
+    matchings of its support.
+    """
+    m = np.eye(8)
+    for bit in (1, 2, 4):
+        step = tuple(TTransform(j, j ^ bit, t) for j in range(8) if j < j ^ bit)
+        m = expand_step(step, 8) @ m
+    return m
+
+
+class TestSupportMatchings:
+    """Birkhoff's listed matchings, and the binary search past the cap."""
+
+    @given(m=permutation_mixtures())
+    def test_lists_positive_permutations_in_order(self, m):
+        d = m.shape[0]
+        want = [p for p in itertools.permutations(range(d)) if (m[np.arange(d), p] > 0).all()]
+        assert _support_matchings(m.tolist(), len(want)) == want
+        assert _support_matchings(m.tolist(), len(want) - 1) is None
+
+    @pytest.mark.parametrize("t", [0.7, 0.5])
+    def test_dense_product_falls_back_to_the_search(self, monkeypatch, t):
+        m = dense_step_product(t)
+        assert (m > 0).all()
+        assert _support_matchings(m.tolist(), MATCHING_CAP) is None
+        calls = []
+        monkeypatch.setattr(
+            majorize, "_lex_bottleneck_matching",
+            lambda mat: calls.append(1) or _lex_bottleneck_matching(mat),
+        )
+        got = birkhoff_decompose(m)
+        assert len(calls) == len(got)
+        assert_same_terms(got, brute_force_birkhoff(m))
+
+    @settings(max_examples=100)
+    @given(m=permutation_mixtures())
+    def test_search_equals_listed_matchings(self, m):
+        listed = birkhoff_decompose(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(majorize, "MATCHING_CAP", 0)
+            searched = birkhoff_decompose(m)
+        assert_same_terms(searched, listed)
+
+
+class TestCompiledRoundTerms:
+    """The grouped rounds of g = 4..6 compiles hold brute-force Birkhoff terms.
+
+    One-step rounds take ``step_terms``, held to Birkhoff by ``TestStepTerms``;
+    the brute force enumerates all 8! matchings at each peel, so it runs on
+    the grouped rounds only.
+    """
+
+    @settings(max_examples=6)
+    @given(
+        kind=st.sampled_from(["cec", "random8"]),
+        g=st.integers(4, 6),
+        a=st.floats(0.05, 0.3),
+        p_d=st.floats(0.0, 0.1),
+        c1=st.floats(0.5, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="cec", g=6, a=0.1, p_d=0.05, c1=0.8, seed=0)
+    def test_grouped_rounds_equal_brute_force_povms(self, kind, g, a, p_d, c1, seed):
+        if kind == "cec":
+            rho = prepare_state(NoiseParams(a=a, p_d=p_d))
+            planning = cec_planning_states(rho, rho, catalyst_from_schmidt(c1).state)
+        else:
+            planning = (random_pure_state(np.random.default_rng(seed), 64), PHI_PLUS)
+        schedule = compile_schedule(*planning, g)
+        d = schedule.dim
+        steps = fold_ttransforms(t_transform_decompose(schedule.alpha, schedule.gamma))
+        groups = group_ttransforms(steps, g, d)
+        sizes = [len(steps[i : i + g]) for i in range(0, len(steps), g)]
+        assert len(schedule.rounds) == len(groups)
+        assert max(sizes) > 1
+        for rnd, mat, size in zip(schedule.rounds, reversed(groups), reversed(sizes)):
+            if size > 1:
+                want = js_povm(brute_force_birkhoff(mat), rnd.target_vector)
+                assert np.array_equal(rnd.povm.elements, want.elements)
+                assert np.array_equal(rnd.povm.corrections, want.corrections)
 
 class TestExpandTTransform:
     def test_matrix_form(self):

@@ -273,3 +273,64 @@ class TestSweepPlansOnce:
         assert main(argv) == 0
         assert compile_schedule.cache_info().misses == 2 + 11
         assert find_catalyst.cache_info().misses == 1
+
+
+def other_source(src, seed=5):
+    """A random pure source of the same size: a new plan with the same target."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=src.size) + 1j * rng.normal(size=src.size)
+    return psi / np.linalg.norm(psi)
+
+
+class TestTargetPlan:
+    """The target's identity-pinned Schmidt plan, memoized per register size."""
+
+    def counts(self):
+        info = locc._target_plan.cache_info()
+        return info.hits, info.misses
+
+    def test_hits_and_misses(self, inputs):
+        src, tgt = inputs["random4"]
+        compile_schedule(src, tgt, 1)
+        compile_schedule(src, tgt, 2)
+        assert self.counts() == (0, 1)
+        compile_schedule(other_source(src), tgt)
+        assert self.counts() == (1, 1)
+        compile_schedule(*inputs["random8"])
+        assert self.counts() == (1, 2)
+        nec_src, nec_tgt = inputs["nec"]
+        rho = prepare_state(NoiseParams(a=0.2, p_d=0.01))
+        compile_schedule(nec_src, nec_tgt)
+        compile_schedule(*nec_planning_states(rho, rho))
+        assert self.counts() == (2, 3)
+
+    @pytest.mark.parametrize("kind, g", CASES)
+    def test_warm_target_plan_equals_cold_compile(self, inputs, kind, g):
+        src, tgt = inputs[kind]
+        compile_schedule(other_source(src), tgt, g)
+        warm = compile_schedule(src, tgt, g)
+        assert self.counts() == (1, 1)
+        compile_schedule.cache_clear()
+        cold = compile_schedule(src, tgt, g)
+        assert self.counts() == (0, 1)
+        pairs = list(zip(reachable_arrays(warm), reachable_arrays(cold), strict=True))
+        assert len(pairs) > 8
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_runs(warm, cold)
+
+    def test_cached_plan_is_read_only(self, inputs):
+        src, tgt = inputs["cec"]
+        compile_schedule(src, tgt)
+        plan = locc._target_plan(locc._input_bytes(tgt), 8, 8)
+        assert self.counts() == (1, 1)
+        for arr in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
+
+    def test_cache_clear_empties_all_three_memos(self, inputs):
+        memos = (locc._compile_schedule, locc._plan, locc._target_plan)
+        compile_schedule(*inputs["cec"], 2)
+        assert [memo.cache_info().currsize for memo in memos] == [1, 1, 1]
+        compile_schedule.cache_clear()
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
