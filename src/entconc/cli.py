@@ -30,6 +30,7 @@ import numpy as np
 
 from .locc import compile_schedule, schedule_to_document
 from .noise import PHI_PLUS, NoiseParams, prepare_state
+from .qmath import INPUT_TOL, UNIT_TOL
 from .protocols import (
     cec_planning_states,
     find_catalyst,
@@ -98,7 +99,7 @@ def _parse_range(text: str) -> list:
         raise UsageError("--range step must be finite and positive")
     if not (0.0 <= lo <= hi <= 1.0):
         raise UsageError("--range endpoints must satisfy 0 <= lo <= hi <= 1")
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    count = int(math.floor((hi - lo) / step + INPUT_TOL))
     return [round(lo + i * step, 12) for i in range(count + 1)]
 
 
@@ -111,7 +112,7 @@ def _parse_weights(text: str) -> tuple:
     except ValueError as exc:
         raise UsageError(f"bad --weights value: {exc}") from exc
     norm = float(np.sqrt(np.sum(w**2)))
-    if norm < 1e-12:
+    if norm < UNIT_TOL:
         raise UsageError("--weights must not be all zero")
     return tuple(w / norm)
 
@@ -207,11 +208,11 @@ def _svg_panel(lines, title, series, x_label, y_range, offset_y):
     if not xs_all:
         return
     x_lo, x_hi = min(xs_all), max(xs_all)
-    if x_hi - x_lo < 1e-15:
+    # axis values are rounded to 12 decimals, so distinct ones differ by
+    # about 1e-12 or more, and both y ranges are at least 1e-6 high
+    if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     y_lo, y_hi = y_range
-    if y_hi - y_lo < 1e-15:
-        y_hi = y_lo + 1.0
 
     def sx(x):
         return left + (x - x_lo) / (x_hi - x_lo) * width
@@ -403,7 +404,7 @@ def _cmd_report(args) -> int:
             values = sorted({r[axis] for r in rows})
             leader_prev = None
             for value in values:
-                at_value = [r for r in rows if abs(r[axis] - value) < 1e-12]
+                at_value = [r for r in rows if abs(r[axis] - value) < UNIT_TOL]
                 if len(at_value) < len(protocols):
                     continue
                 leader = min(at_value, key=lambda r: r["infidelity"])["protocol"]

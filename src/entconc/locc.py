@@ -35,11 +35,10 @@ from .majorize import (
 )
 from .noise import _depolarize_qubits
 from .qmath import (
-    _check_probability, _dims_for, _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor,
+    STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, _check_probability, _dims_for, _fix_degenerate_gauge,
+    clip_unit, schmidt_decompose, tensor,
 )
 
-COMPLETENESS_TOL = 1e-10
-SUPPORT_TOL = 1e-12
 # Plans kept by each planning memo (compile_schedule, find_catalyst): a
 # sweep point plans NEC and CEC at one g and one catalyst, and a loop over
 # g = 1, 2, 3 plans six schedules.
@@ -70,10 +69,12 @@ class DiagonalPOVM:
     arrays; ``corrections`` holds one permutation index array per element,
     with (P v)[i] = v[perm[i]]. Both are stored as tuples, whatever
     sequence is passed. On the support (positions where the
-    diagonals sum to 1) the elements are complete; off-support positions
-    carry 0 in every element and are routed to outcome 0 at execution time.
-    ``support`` is the boolean mask of the support, set by the
-    completeness check. Each correction must be a permutation of range(d).
+    diagonals sum to 1 within STRUCTURAL_TOL) the elements are complete;
+    off-support positions carry 0 in every element and are routed to
+    outcome 0 at execution time. ``support`` is the boolean mask of the
+    support, set by the completeness check. Each correction must be a
+    permutation of range(d), d >= 1, and entries must lie in [0, 1] within
+    UNIT_TOL.
     """
 
     elements: tuple
@@ -85,17 +86,17 @@ class DiagonalPOVM:
         object.__setattr__(self, "corrections", tuple(self.corrections))
         if len(self.elements) != len(self.corrections):
             raise ValueError("need one correction permutation per element")
-        if not self.elements:
-            raise ValueError("a POVM needs at least one element")
         els = np.asarray(self.elements, dtype=float)
+        if not els.size:
+            raise ValueError("a POVM needs at least one element, of at least one entry")
         d = els.shape[-1]
         if not _are_permutations(self.corrections, d):
             raise ValueError("each correction must be a permutation of range(d)")
-        if els.min() < -SUPPORT_TOL or els.max() > 1 + 1e-12:
+        if els.min() < -UNIT_TOL or els.max() > 1 + UNIT_TOL:
             raise ValueError("POVM diagonal entries must lie in [0, 1]")
         total = els.sum(axis=0)
-        on = abs(total - 1.0) <= COMPLETENESS_TOL
-        if not (on | (abs(total) <= COMPLETENESS_TOL)).all():
+        on = abs(total - 1.0) <= STRUCTURAL_TOL
+        if not (on | (abs(total) <= STRUCTURAL_TOL)).all():
             raise ValueError("POVM elements do not sum to identity on the support")
         object.__setattr__(self, "support", on)
 
@@ -222,13 +223,13 @@ def js_povm(terms, target) -> DiagonalPOVM:
     ``terms`` is the round's convex decomposition, a list of (weight q_m,
     permutation P_m) pairs: the two terms of ``majorize.step_terms`` for a
     one-step round, ``birkhoff_decompose`` of the grouped matrix otherwise.
-    Terms whose images w_m = P_m target coincide within 1e-12 are merged
+    Terms whose images w_m = P_m target coincide within UNIT_TOL are merged
     into one element with summed weight: each term joins the earliest term
-    within 1e-12 of it, followed on to a term that joins itself. The
+    within UNIT_TOL of it, followed on to a term that joins itself. The
     round's current vector is what the merged terms rebuild,
     c = sum_m q_m w_m; element m has diagonal q_m w_m / c on the support of
-    c and 0 elsewhere, so the elements sum to 1 on the support by
-    construction. Measuring a Schmidt-diagonal state with vector c gives
+    c (its entries above UNIT_TOL) and 0 elsewhere, so the elements sum to
+    1 on the support by construction. Measuring a Schmidt-diagonal state with vector c gives
     outcome m with probability q_m and post-measurement vector w_m; the
     recorded correction permutation maps w_m back to ``target``.
     """
@@ -236,7 +237,7 @@ def js_povm(terms, target) -> DiagonalPOVM:
     weights, perms = zip(*terms)
     perms = np.asarray(perms, dtype=int)
     images = target[perms]
-    near = abs(images[:, None] - images).max(axis=-1) < 1e-12
+    near = abs(images[:, None] - images).max(axis=-1) < UNIT_TOL
     owner = near.argmax(axis=0)
     while (owner[owner] != owner).any():
         owner = owner[owner]
@@ -245,7 +246,7 @@ def js_povm(terms, target) -> DiagonalPOVM:
     parts = merged[:, None] * images[first]
     current = parts.sum(axis=0)
     elements = np.divide(
-        parts, current, out=np.zeros_like(parts), where=current > SUPPORT_TOL
+        parts, current, out=np.zeros_like(parts), where=current > UNIT_TOL
     )
     return DiagonalPOVM(elements=elements.clip(0.0, 1.0), corrections=perms[first])
 
@@ -261,9 +262,9 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     ``blocks`` is a (d, ka, ka) array, ka = 2**aux_count, built in one
     pass. On the support, block j is the real reflection I - 2vv^T/|v|^2
     with v = e_0 - col_j, whose first column is the unit amplitude column
-    col_j = (sqrt(A_m[j]))_m; where col_j = e_0 it is the limit
-    diag(1, -1, 1, ...). Off the support it is I. For two elements this is
-    sqrt(a_0^j) Z + sqrt(a_1^j) X; the m elements of a grouped (g >= 2)
+    col_j = (sqrt(A_m[j]))_m; where |v| < WEIGHT_TOL it is the limit at
+    col_j = e_0, diag(1, -1, 1, ...). Off the support it is I. For two
+    elements this is sqrt(a_0^j) Z + sqrt(a_1^j) X; the m elements of a grouped (g >= 2)
     round get the same unitary completion of their amplitude column.
     Built from its own v, a reflection is orthogonal to about 1e-15.
     """
@@ -278,7 +279,7 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     v = -(col / np.sqrt(np.vecdot(col, col))[:, None])
     v[:, 0] += 1.0
     norm2 = np.vecdot(v, v)
-    limit = norm2 < 1e-28
+    limit = norm2 < WEIGHT_TOL**2
     refl = eye - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(
         limit, 1.0, norm2
     )[:, None, None]
@@ -349,7 +350,7 @@ def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
     if d * ka * d_b != dim:
         raise ValueError("state dimension does not match the round's registers")
     pops = np.real(np.diag(state)).reshape(d, ka, d_b).sum(axis=(0, 2))
-    if pops[1:].sum() > 1e-10:
+    if pops[1:].sum() > STRUCTURAL_TOL:
         raise ValueError("auxiliary register is not in the all-zeros state")
     rho, _ = _gate_noise(state, rnd, p_g, d.bit_length() - 1 + emb.aux_count)
     u = emb.assemble()
@@ -360,7 +361,7 @@ def execute_round(state: np.ndarray, rnd: ScheduleRound, p_g: float) -> list:
     for m in range(ka):
         block = view[:, m, :, :, m, :]
         w = float(np.real(np.einsum("abab->", block)))
-        if w < 1e-14:
+        if w < WEIGHT_TOL:
             continue
         out = np.zeros((d, ka, d_b, d, ka, d_b), dtype=complex)
         out[:, 0, :, :, 0, :] = block / w
@@ -390,12 +391,16 @@ def apply_correction(state: np.ndarray, perm) -> np.ndarray:
 def execute_filter(state: np.ndarray, filter_diag) -> tuple:
     """Apply the final probabilistic filter on party A's data register.
 
-    The filter F is diagonal with entries ``filter_diag`` and must satisfy
-    F†F <= I. Returns (success weight, normalized success state) where the
-    weight is tr(F rho F†), clipped into [0, 1] by ``clip_unit``.
+    The filter F is diagonal with at least one entry ``filter_diag`` and
+    must satisfy F†F <= I within STRUCTURAL_TOL. Returns (success weight,
+    normalized success state) where the weight is tr(F rho F†), clipped
+    into [0, 1] by ``clip_unit``; a weight at most WEIGHT_TOL leaves the
+    state unnormalized.
     """
     f = np.asarray(filter_diag, dtype=float).reshape(-1)
-    if not (np.max(f**2) <= 1 + 1e-10 and f.min() >= 0):
+    if not f.size:
+        raise ValueError("a filter needs at least one entry")
+    if not (np.max(f**2) <= 1 + STRUCTURAL_TOL and f.min() >= 0):
         raise ValueError("filter entries must satisfy 0 <= f_i^2 <= 1")
     d = f.size
     dim = state.shape[0]
@@ -405,7 +410,7 @@ def execute_filter(state: np.ndarray, filter_diag) -> tuple:
     k_full = np.repeat(f, d_b)
     out = state * k_full[:, None] * k_full[None, :]
     w = float(np.real(np.trace(out)))
-    if w > 1e-14:
+    if w > WEIGHT_TOL:
         out = out / w
     return clip_unit(w, "filter success weight"), out
 
@@ -448,8 +453,10 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     closed form from ``step_terms``; only a round of several steps runs the
     Birkhoff decomposition of its product matrix. The frames are pinned as
     described in ``ProtocolSchedule``. The rounds carry gamma back to the
-    source within ``t_transform_decompose``'s RECON_TOL plus d FOLD_TOL
-    from folding, so the source is not checked again.
+    source within ``t_transform_decompose``'s STRUCTURAL_TOL plus d
+    UNIT_TOL from folding, so the source is not checked again. A target of
+    larger Schmidt rank than the source raises ValueError, by
+    ``vidal_probability``'s rank rule.
 
     A target on fewer qubits than the source is embedded on the leading
     qubits of each party; the success branch then leaves the remaining
@@ -518,8 +525,6 @@ def _plan(source: bytes, target: bytes) -> tuple:
         alpha_dec.right_basis,
     )
     alpha, beta = alpha_dec.coefficients, beta_dec.coefficients
-    if np.count_nonzero(beta > 1e-12) > np.count_nonzero(alpha > 1e-12):
-        raise ValueError("target Schmidt rank exceeds the source rank")
     r = vidal_probability(alpha, beta)
     gamma = _vidal_gamma(alpha, beta, r)
     steps = tuple(fold_ttransforms(t_transform_decompose(alpha, gamma)))
@@ -545,7 +550,7 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
         rounds.append(
             ScheduleRound(povm, emb, synthesize(emb), vectors[i + 1], vectors[i])
         )
-    on = gamma > SUPPORT_TOL
+    on = gamma > UNIT_TOL
     filt = np.ones(d)
     filt[on] = np.sqrt(np.minimum(1.0, r * beta[on] / gamma[on]))
     schedule = ProtocolSchedule(

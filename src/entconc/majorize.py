@@ -15,11 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import clip_unit
-
-RECON_TOL = 1e-10
-SUM_TOL = 1e-12
-FOLD_TOL = 1e-12
+from .qmath import INPUT_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, ZERO_TOL, clip_unit
 
 
 class TTransform(NamedTuple):
@@ -35,15 +31,19 @@ class TTransform(NamedTuple):
 
 
 def _as_schmidt(v) -> np.ndarray:
-    """Schmidt vectors along the last axis, each checked; leading axes batch."""
+    """Schmidt vectors along the last axis, each checked; leading axes batch.
+
+    Entries down to -UNIT_TOL count as nonnegative; the sum and the
+    descending order are held to INPUT_TOL.
+    """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if not np.isfinite(v).all():
         raise ValueError("Schmidt vector has a non-finite entry")
-    if (v.min(axis=-1) < -SUM_TOL).any():
+    if (v.min(axis=-1) < -UNIT_TOL).any():
         raise ValueError("Schmidt vector has a negative entry")
-    if (abs(v.sum(axis=-1) - 1.0) > 1e-9).any():
+    if (abs(v.sum(axis=-1) - 1.0) > INPUT_TOL).any():
         raise ValueError("Schmidt vector does not sum to 1")
-    if (v[..., :-1] < v[..., 1:] - 1e-9).any():
+    if (v[..., :-1] < v[..., 1:] - INPUT_TOL).any():
         raise ValueError("Schmidt vector is not sorted descending")
     return v
 
@@ -64,7 +64,7 @@ def is_majorized(alpha, beta) -> bool:
 
     The majorized (more mixed) vector is the first argument; True means a
     deterministic LOCC conversion from a state with Schmidt vector ``alpha``
-    to one with ``beta`` exists. Sums are compared within SUM_TOL.
+    to one with ``beta`` exists. Sums are compared within UNIT_TOL.
     """
     return _majorized(*_pad_pair(alpha, beta))
 
@@ -72,9 +72,9 @@ def is_majorized(alpha, beta) -> bool:
 def _majorized(a: np.ndarray, b: np.ndarray) -> bool:
     """``is_majorized`` of checked, equal-length a and b."""
     ca, cb = np.cumsum(a), np.cumsum(b)
-    if abs(ca[-1] - cb[-1]) > SUM_TOL:
+    if abs(ca[-1] - cb[-1]) > UNIT_TOL:
         return False
-    return bool(np.all(ca <= cb + SUM_TOL))
+    return bool(np.all(ca <= cb + UNIT_TOL))
 
 
 def _tails(v: np.ndarray) -> np.ndarray:
@@ -85,16 +85,18 @@ def _tails(v: np.ndarray) -> np.ndarray:
 def vidal_probability(alpha, beta):
     """Maximal conversion probability min_l E_l(alpha)/E_l(beta).
 
-    E_l is the suffix sum from position l; positions with E_l(beta) = 0 are
-    skipped. Returns a value in (0, 1], equal to 1 exactly when alpha is
-    majorized by beta; the l = 0 ratio of two sums that round apart is
-    clipped by ``clip_unit``. A target of larger Schmidt rank than the
-    source is unreachable and yields 0.0. Leading axes batch and broadcast:
+    E_l is the suffix sum from position l; positions with E_l(beta) at most
+    WEIGHT_TOL are skipped. Returns a value in (0, 1], equal to 1 exactly
+    when alpha is majorized by beta; the l = 0 ratio of two sums that round
+    apart is clipped by ``clip_unit``. A target of larger Schmidt rank than
+    the source, counting coefficients above WEIGHT_TOL, is unreachable and
+    yields 0.0; ``compile_schedule`` uses this rank rule too. Leading axes
+    batch and broadcast:
     each entry equals, bit for bit, the call on its pair of 1-D vectors
     alone, which gives a float.
     """
     a, b = _as_schmidt(alpha), _as_schmidt(beta)
-    unreachable = (b > 1e-14).sum(axis=-1) > (a > 1e-14).sum(axis=-1)
+    unreachable = (b > WEIGHT_TOL).sum(axis=-1) > (a > WEIGHT_TOL).sum(axis=-1)
     ta, tb = _tails(a), _tails(b)
     # suffix sums past a vector's end are 0: past alpha's the ratio is 0,
     # past beta's the position imposes nothing
@@ -103,7 +105,7 @@ def vidal_probability(alpha, beta):
         ta = np.concatenate([ta, np.zeros(ta.shape[:-1] + (d - ta.shape[-1],))], axis=-1)
     ta = ta[..., :d]
     ratio = np.full(np.broadcast(ta, tb).shape, np.inf)
-    np.divide(ta, tb, out=ratio, where=tb > 1e-14)
+    np.divide(ta, tb, out=ratio, where=tb > WEIGHT_TOL)
     return clip_unit(np.where(unreachable, 0.0, ratio.min(axis=-1)), "conversion probability")
 
 
@@ -126,10 +128,11 @@ def _vidal_gamma(a: np.ndarray, b: np.ndarray, r) -> np.ndarray:
     r must be vidal_probability(a, b). Built from the running minimum of
     f_l = E_l(a) - r E_l(b): gamma_l = h_l - h_{l+1} + r b_l with h the
     running minimum of f. The result is sorted descending; when a is
-    already majorized by b it equals b exactly.
+    already majorized by b it equals b exactly. An r of 0, the unreachable
+    target of ``vidal_probability``'s rank rule, raises ValueError.
     """
     if r == 0.0:
-        raise ValueError("target rank exceeds source rank; no conversion")
+        raise ValueError("target Schmidt rank exceeds the source rank")
     d = a.size
     f = np.empty(d + 1)
     f[:d] = _tails(a) - r * _tails(b)
@@ -151,16 +154,17 @@ def t_transform_decompose(alpha, beta) -> list[TTransform]:
 
     Repeatedly picks the smallest index j where the current vector exceeds
     the target alpha and the next index k > j where it falls short, then
-    levels whichever gap is smaller. Requires is_majorized(alpha, beta).
+    levels whichever gap is smaller. Entries within RESIDUAL_TOL of the
+    target count as reached. Requires is_majorized(alpha, beta).
     """
     a, b = _pad_pair(alpha, beta)
     if not _majorized(a, b):
         raise ValueError("alpha is not majorized by beta")
     out: list[TTransform] = []
     cur = b.copy()
-    above, below = a + 1e-13, a - 1e-13
+    above, below = a + RESIDUAL_TOL, a - RESIDUAL_TOL
     for _ in range(a.size - 1):
-        if abs(cur - a).max() < 1e-13:
+        if abs(cur - a).max() < RESIDUAL_TOL:
             break
         j = int((cur > above).argmax())
         k = j + 1 + int((cur[j + 1 :] < below[j + 1 :]).argmax())
@@ -170,7 +174,7 @@ def t_transform_decompose(alpha, beta) -> list[TTransform]:
         out.append(TTransform(j, k, t))
         cur[j] = t * cj + (1 - t) * ck
         cur[k] = (1 - t) * cj + t * ck
-    if abs(cur - a).max() > RECON_TOL:
+    if abs(cur - a).max() > STRUCTURAL_TOL:
         raise ArithmeticError("T-transform chain failed to reach the target")
     return out
 
@@ -189,7 +193,7 @@ def fold_ttransforms(ts: list[TTransform]) -> list[tuple]:
     """Merge runs of commuting equal-weight T-transforms into steps.
 
     Consecutive transforms on pairwise disjoint coordinate pairs whose t
-    agrees within FOLD_TOL form one step: one two-outcome measurement, not
+    agrees within UNIT_TOL form one step: one two-outcome measurement, not
     several weaker ones. Returns the chain as a list of steps, each a tuple
     of T-transforms; ``expand_step`` gives a step's matrix.
     """
@@ -198,7 +202,7 @@ def fold_ttransforms(ts: list[TTransform]) -> list[tuple]:
         step = steps[-1] if steps else None
         if (
             step is not None
-            and abs(step[0].t - tt.t) <= FOLD_TOL
+            and abs(step[0].t - tt.t) <= UNIT_TOL
             and all({tt.j, tt.k}.isdisjoint((p.j, p.k)) for p in step)
         ):
             step.append(tt)
@@ -229,7 +233,7 @@ def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
     moved diagonal (t), moved off-diagonal (1 - t) and, when some
     coordinate is fixed, fixed diagonal (1). Of I and P, which carry the
     whole matrix, each step peels the one of larger bottleneck, I on a tie
-    within the search's 1e-15. Valid for t in [0, 1].
+    within the search's ZERO_TOL. Valid for t in [0, 1].
     """
     ident = np.arange(d)
     swap = ident.copy()
@@ -240,15 +244,15 @@ def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
     diag, off, fix = step[0].t, 1.0 - step[0].t, 1.0 if fixed else np.inf
     terms = []
     for _ in range((d - 1) ** 2 + 2):
-        if max(diag, off, fix if fixed else 0.0) < 1e-13:
+        if max(diag, off, fix if fixed else 0.0) < RESIDUAL_TOL:
             break
         on_ident, on_swap = min(diag, fix), min(off, fix)
-        if on_ident < on_swap - 1e-15:
+        if on_ident < on_swap - ZERO_TOL:
             q, perm, off = on_swap, swap, off - on_swap
         else:
             q, perm, diag = on_ident, ident, diag - on_ident
         fix -= q
-        diag, off, fix = (0.0 if x < 1e-15 else x for x in (diag, off, fix))
+        diag, off, fix = (0.0 if x < ZERO_TOL else x for x in (diag, off, fix))
         terms.append((q, perm))
     else:
         raise ArithmeticError(_TERM_BOUND)
@@ -292,7 +296,7 @@ def _lex_bottleneck_matching(m: np.ndarray) -> np.ndarray:
     """Max-bottleneck perfect matching, lexicographically smallest.
 
     Binary-searches the bottleneck value over the distinct positive entries
-    (an entry is allowed when it is at least the value less 1e-15), with
+    (an entry is allowed when it is at least the value less ZERO_TOL), with
     Kuhn's matchings on adjacency lists. The matching found at the
     bottleneck is then made lexicographically smallest row by row: row r
     takes the smallest allowed column c < col[r] from which an alternating
@@ -305,12 +309,12 @@ def _lex_bottleneck_matching(m: np.ndarray) -> np.ndarray:
     """
     d = m.shape[0]
     rows = m.tolist()
-    vals = np.unique(m[m > 1e-15])
+    vals = np.unique(m[m > ZERO_TOL])
     lo, hi = 0, len(vals) - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        thr = float(vals[mid]) - 1e-15
+        thr = float(vals[mid]) - ZERO_TOL
         adj = [[c for c, x in enumerate(row) if x >= thr] for row in rows]
         row_of = [-1] * d
         if all(_augment(adj, row_of, r, [False] * d) for r in range(d)):
@@ -372,7 +376,7 @@ def _first_bottleneck(matchings: list, d: int):
     entries in lexicographic order (``_support_matchings``); the returned
     rule takes the flat row-major entries of the matrix. B is the best
     bottleneck over the list, the threshold is the largest entry above
-    1e-15 that B reaches within 1e-15, less 1e-15, and the matching is the
+    ZERO_TOL that B reaches within ZERO_TOL, less ZERO_TOL, and the matching is the
     first whose entries all clear it: the binary search's threshold and
     the lexicographically smallest matching above it.
     """
@@ -381,14 +385,14 @@ def _first_bottleneck(matchings: list, d: int):
     def match(flat: list) -> tuple:
         lows = [min(map(flat.__getitem__, idx)) for idx in flat_idx]
         best = max(lows)
-        # for B above 1e-15 the threshold lies in [B - 1e-15, B]: a first
-        # matching at B needs no scan for it
-        first = next(i for i, low in enumerate(lows) if low >= best - 1e-15)
-        if lows[first] < best or best <= 1e-15:
-            top = max((x for x in flat if x > 1e-15 and x - 1e-15 <= best), default=None)
+        # for B above ZERO_TOL the threshold lies in [B - ZERO_TOL, B]: a
+        # first matching at B needs no scan for it
+        first = next(i for i, low in enumerate(lows) if low >= best - ZERO_TOL)
+        if lows[first] < best or best <= ZERO_TOL:
+            top = max((x for x in flat if x > ZERO_TOL and x - ZERO_TOL <= best), default=None)
             if top is None:
                 raise ArithmeticError("matrix has no positive perfect matching")
-            first = next(i for i, low in enumerate(lows) if low >= top - 1e-15)
+            first = next(i for i, low in enumerate(lows) if low >= top - ZERO_TOL)
         return matchings[first]
 
     return match
@@ -402,8 +406,6 @@ MATCHING_CAP = 256
 
 def _normalized(terms: list) -> list[tuple[float, np.ndarray]]:
     total = sum(q for q, _ in terms)
-    if abs(total - 1.0) > 1e-9:
-        raise ArithmeticError(f"Birkhoff weights sum to {total}, not 1")
     return [(q / total, p) for q, p in terms]
 
 
@@ -411,24 +413,24 @@ def _peel(flat: list, d: int, match) -> list[tuple[float, np.ndarray]]:
     """Greedy extraction of Birkhoff terms from the flat d x d matrix, in place.
 
     Each step removes the largest weight that the matching ``match(flat)``
-    (a column per row) carries, zeroes entries below 1e-15, and the peel
-    stops once all are below 1e-13. The weights are returned divided by
-    their sum.
+    (a column per row) carries, zeroes entries below ZERO_TOL, and the peel
+    stops once all are below RESIDUAL_TOL. The weights are returned divided
+    by their sum.
     """
     terms = []
     for _ in range((d - 1) ** 2 + 2):
-        if max(flat) < 1e-13:
+        if max(flat) < RESIDUAL_TOL:
             break
         cols = match(flat)
         idx = [r * d + c for r, c in enumerate(cols)]
         q = min(map(flat.__getitem__, idx))
         for i in idx:
             x = flat[i] - q
-            flat[i] = 0.0 if x < 1e-15 else x
+            flat[i] = 0.0 if x < ZERO_TOL else x
         if not terms:
-            # the input's own entries below 1e-15 go with the first term;
+            # the input's own entries below ZERO_TOL go with the first term;
             # after it, a term changes only the entries it carries
-            flat[:] = [0.0 if x < 1e-15 else x for x in flat]
+            flat[:] = [0.0 if x < ZERO_TOL else x for x in flat]
         terms.append((q, np.array(cols, dtype=int)))
     else:
         raise ArithmeticError(_TERM_BOUND)
@@ -446,15 +448,19 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     step picks from that list (``_first_bottleneck``). Past MATCHING_CAP of
     them, each step runs ``_lex_bottleneck_matching`` itself. Permutations
     are returned as index arrays p with matrix[i, p[i]] = 1, so
-    (P v)[i] = v[p[i]]. Entries down to -RECON_TOL count as nonnegative.
+    (P v)[i] = v[p[i]]. The input is held to what the peel can decompose:
+    entries down to -RESIDUAL_TOL / (2d) count as nonnegative, and every
+    row and column sum must lie within RESIDUAL_TOL / (2d) of 1; beyond
+    that a ValueError is raised, and within it the peel ends with every
+    entry below RESIDUAL_TOL (see the ``qmath`` tolerance table).
     """
     m = np.asarray(dmat, dtype=float)
     d = m.shape[0]
-    if m.shape != (d, d) or m.min() < -RECON_TOL:
+    tol = RESIDUAL_TOL / max(2 * d, 1)
+    if m.shape != (d, d) or m.min() < -tol:
         raise ValueError("not a nonnegative square matrix")
-    # np.allclose(sums, 1, atol=1e-9), written out: |x - 1| <= 1e-9 + 1e-5
     sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
-    if not np.all(np.abs(sums - 1.0) <= 1e-9 + 1e-5):
+    if not np.all(np.abs(sums - 1.0) <= tol):
         raise ValueError("matrix is not doubly stochastic")
     flat = m.ravel().tolist()
     matchings = _support_matchings(m.tolist(), MATCHING_CAP)

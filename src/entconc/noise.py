@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import _check_probability, _dims_for, top_eigenstate
+from .qmath import UNIT_TOL, _check_probability, _dims_for, top_eigenstate
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
@@ -80,17 +80,17 @@ class NoiseParams:
 
 
 def _coherent_weights(weights) -> tuple:
-    """The amplitudes (x, z, y) as complex numbers, checked for unit squared norm."""
+    """The amplitudes (x, z, y) as complex numbers, of unit squared norm within UNIT_TOL."""
     ex, ez, ey = (complex(w) for w in weights)
-    if not abs(abs(ex) ** 2 + abs(ez) ** 2 + abs(ey) ** 2 - 1.0) <= 1e-12:
+    if not abs(abs(ex) ** 2 + abs(ez) ** 2 + abs(ey) ** 2 - 1.0) <= UNIT_TOL:
         raise ValueError("coherent weights must have unit squared norm")
     return ex, ez, ey
 
 
 def _pauli_weights(weights) -> tuple:
-    """The probabilities (x, z, y) as floats, checked to be nonnegative and sum to 1."""
+    """The probabilities (x, z, y) as floats, nonnegative and summing to 1 within UNIT_TOL."""
     wx, wz, wy = (float(w) for w in weights)
-    if not abs(wx + wz + wy - 1.0) <= 1e-12 or min(wx, wz, wy) < 0:
+    if not abs(wx + wz + wy - 1.0) <= UNIT_TOL or min(wx, wz, wy) < 0:
         raise ValueError("depolarizing weights must be probabilities summing to 1")
     return wx, wz, wy
 

@@ -34,8 +34,10 @@ from .locc import (
 )
 from .noise import PHI_PLUS, depolarize, surrogate
 from .qmath import (
+    MIN_ACCEPTANCE,
     PAULI_I,
     PAULI_X,
+    UNIT_TOL,
     _check_probability,
     assert_density_matrix,
     clip_unit,
@@ -47,7 +49,6 @@ from .qmath import (
 )
 from .majorize import vidal_probability
 
-_MIN_ACCEPTANCE = 1e-9
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 MEASUREMENT_BASES = ("Z", "X", "Y")
@@ -112,8 +113,8 @@ class CatalystSpec:
 
 
 def catalyst_from_schmidt(c1: float, achieved: float = 0.0) -> CatalystSpec:
-    """Build a CatalystSpec from its larger Schmidt coefficient."""
-    if not 0.5 <= c1 <= 1.0 + 1e-12:
+    """Build a CatalystSpec from its larger Schmidt coefficient, in [0.5, 1] within UNIT_TOL."""
+    if not 0.5 <= c1 <= 1.0 + UNIT_TOL:
         raise ValueError("c1 must lie in [0.5, 1]")
     c1 = min(c1, 1.0)
     vec = np.zeros(4, dtype=complex)
@@ -143,7 +144,7 @@ class DistillationPlan:
 
 def _canonical_key(u: np.ndarray) -> tuple:
     flat = u.ravel()
-    pivot = flat[np.argmax(np.abs(flat) > 1e-9)]
+    pivot = flat[np.argmax(np.abs(flat) > UNIT_TOL)]
     normed = u * (pivot.conjugate() / abs(pivot))
     return tuple(np.round(normed.real, 9).ravel()) + tuple(
         np.round(normed.imag, 9).ravel()
@@ -279,13 +280,13 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float =
     given resolution, scoring vidal_probability of the catalyst-augmented
     conversion for the whole grid in one call. The tie rule is a running
     maximum, not an argmax: scanning c1 upward, a point is kept when it
-    comes within 1e-12 of the best score before it, and the last kept
+    comes within UNIT_TOL of the best score before it, and the last kept
     point wins. So ties go to the least entangled catalyst, and
     deterministically convertible inputs return the product catalyst
     (1, 0). ``achieved_probability`` is the best score on the grid.
     Raises ValueError unless ``resolution`` is finite and positive and the
     grid 0.5 + i * resolution, i = 0..round(0.5 / resolution), ends at or
-    below 1 (within 1e-12).
+    below 1 (within UNIT_TOL).
 
     As ``compile_schedule`` does, the last ``_MEMO_SIZE`` results are kept,
     keyed on the complex128 bytes of the flattened inputs and the
@@ -301,7 +302,7 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float =
 @lru_cache(maxsize=_MEMO_SIZE)
 def _find_catalyst(source: bytes, target: bytes, resolution: float) -> CatalystSpec:
     c1 = 0.5 + np.arange(int(round(0.5 / resolution)) + 1) * resolution
-    if c1[-1] > 1.0 + 1e-12:
+    if c1[-1] > 1.0 + UNIT_TOL:
         raise ValueError(
             f"resolution {resolution!r} puts the c1 grid at {float(c1[-1])!r}, past 1"
         )
@@ -316,7 +317,7 @@ def _find_catalyst(source: bytes, target: bytes, resolution: float) -> CatalystS
     joint = (np.sort(np.einsum("i,cj->cij", v, cat).reshape(c1.size, -1)) for v in (sigma, tau))
     p = vidal_probability(*(rows[:, ::-1] for rows in joint))
     before = np.concatenate([[-1.0], np.maximum.accumulate(p)[:-1]])
-    best = np.flatnonzero(p > before - 1e-12)[-1]
+    best = np.flatnonzero(p > before - UNIT_TOL)[-1]
     spec = catalyst_from_schmidt(min(float(c1[best]), 1.0), achieved=float(p.max()))
     _read_only(spec.schmidt, spec.state)
     return spec
@@ -385,7 +386,7 @@ def run_distillation(
     output is the first pair's reduced state on the accept branch. Raises
     ValueError unless both inputs are two-qubit density matrices and
     0 <= p_g <= 1, and ArithmeticError when the plan accepts with
-    probability below 1e-9.
+    probability below MIN_ACCEPTANCE.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
     if plan.basis not in MEASUREMENT_BASES:
@@ -393,7 +394,7 @@ def run_distillation(
     ga, gb = (np.asarray(g, dtype=complex)[None] for g in plan.alice_gates)
     accepted = _distill(rho_a, rho_b, ga, gb, p_g)[0, 0, MEASUREMENT_BASES.index(plan.basis)]
     weight = clip_unit(np.trace(accepted).real, "acceptance probability")
-    if weight < _MIN_ACCEPTANCE:
+    if weight < MIN_ACCEPTANCE:
         raise ArithmeticError(f"distillation plan accepts with probability {weight!r}")
     output = accepted / weight
     return ProtocolResult(
@@ -443,16 +444,16 @@ def _first_best(fids: np.ndarray) -> int:
     """Position kept by the index-order scan of ``optimize_distillation``.
 
     The first entry is the incumbent, and a later one replaces it when it
-    is higher by more than 1e-12. Only strict prefix maxima can replace the
-    incumbent b: if f_i <= f_j for some j < i, then either j was kept and
-    b >= f_j >= f_i, or it was not and f_i <= f_j <= b + 1e-12. So the
+    is higher by more than UNIT_TOL. Only strict prefix maxima can replace
+    the incumbent b: if f_i <= f_j for some j < i, then either j was kept and
+    b >= f_j >= f_i, or it was not and f_i <= f_j <= b + UNIT_TOL. So the
     scan visits those positions alone and keeps the same one.
     """
     before = np.maximum.accumulate(fids)
     rising = np.flatnonzero(fids[1:] > before[:-1]) + 1
     best, best_fid = 0, float(fids[0])
     for pos, fid in zip(rising.tolist(), fids[rising].tolist()):
-        if fid > best_fid + 1e-12:
+        if fid > best_fid + UNIT_TOL:
             best, best_fid = pos, fid
     return best
 
@@ -467,16 +468,17 @@ def optimize_distillation(
     ``_mirrored_factors``: acceptance and Bell overlap are bilinear in
     them, so each is one matrix product and no accepted state is formed.
     Tie rule: plans are scanned in index order (first gate, second gate,
-    basis), plans accepting with probability below 1e-9 are skipped, and a
-    plan replaces the incumbent only when its output fidelity is higher by
-    more than 1e-12, so near-ties go to the lowest index. The inputs are
+    basis), plans accepting with probability below MIN_ACCEPTANCE are
+    skipped, and a plan replaces the incumbent only when its output
+    fidelity is higher by more than UNIT_TOL, so near-ties go to the lowest
+    index. The inputs are
     validated once, as in ``run_distillation``.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
     a, g = _mirrored_factors(rho_a, rho_b, _CLIFFORD_STACK, _CLIFFORD_STACK, p_g)
     g = g.reshape(-1, 16)
     weights = (a.reshape(-1, 16)[:, ::5] @ g[:, ::5].T).real.ravel()
-    live = np.flatnonzero(weights >= _MIN_ACCEPTANCE)
+    live = np.flatnonzero(weights >= MIN_ACCEPTANCE)
     if not live.size:
         raise ArithmeticError("no distillation plan had nonzero acceptance")
     overlap = ((a * _PHI_OUTER).reshape(-1, 16) @ g.T).real.ravel()[live]

@@ -12,9 +12,91 @@ Multi-qubit registers follow the layout convention
 
 and all bipartite cuts separate Alice's block from Bob's block.
 
-Tolerances: 1e-10 for structural checks (unitarity, reconstruction,
-completeness), 1e-12 for normalization and for the rounding excess a
-probability or fidelity may carry past [0, 1] (``clip_unit``).
+Tolerances
+----------
+Every cutoff the package decides with is one entry of this table, one name
+per role; no other module writes a tolerance literal. Values compared are
+unit-scale (probabilities, Schmidt coefficients, entries of states and of
+doubly-stochastic matrices), eps = 2.2e-16 is the float64 machine epsilon
+and u = eps / 2 the unit roundoff (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002). Each entry is pinned by an edge test in
+``tests/test_tolerances.py``, an input just inside and one just outside,
+that fails when the entry is scaled by 10 or by 0.1
+(``scripts/tolerance_sweep.py`` checks this).
+
+ZERO_TOL = 1e-15
+    Separates a zero entry of a Birkhoff peel from a positive one, and
+    bottlenecks that tie from ones that differ (``majorize``: the peel,
+    both matchings, ``step_terms``). Derived: about 4.5 eps, the rounding
+    of the one subtraction x - q that leaves an entry. Test: TestZeroTol.
+WEIGHT_TOL = 1e-14
+    Separates a zero weight from a positive one: a Schmidt coefficient or
+    suffix sum in ``vidal_probability`` (the package's one Schmidt-rank
+    rule, and the positions its ratio skips), a branch weight in
+    ``execute_round``, a filter weight in ``execute_filter``; ``embed_povm``
+    takes its reflection's limit where |v| is below it (|v|^2 below its
+    square). Derived: 64 u = 7e-15, the rounding of a sum of 64 unit-scale
+    terms (the diagonal of a catalytic run's 64-dim state), rounded up.
+    Test: TestWeightTol.
+RESIDUAL_TOL = 1e-13
+    Separates a greedy decomposition that is done from one that is not:
+    the T-transform chain has reached its target, the Birkhoff peel and
+    ``step_terms`` stop. ``birkhoff_decompose`` accepts row and column sums
+    within RESIDUAL_TOL / (2d) of 1, and entries down to minus that: by
+    Koenig's theorem a sum error delta leaves at most 2 d delta in one
+    entry once no positive matching remains, which must fall below the
+    stop (the bound leaves out entries zeroed below ZERO_TOL; perturbed
+    mixtures at d <= 8 that pass the check all decompose). Derived: the chain and the peel take up to (d - 1)^2 + 1 = 50
+    steps at d = 8, each rounding an entry by u: 50 u = 5.6e-15, with a
+    factor of about 20 to spare. Test: TestResidualTol.
+UNIT_TOL = 1e-12
+    Separates rounding from a real excess in one unit-scale result: a
+    probability or fidelity past [0, 1] (``clip_unit``), a state's norm,
+    trace or Hermiticity, a Schmidt entry below 0 and majorization's
+    prefix sums, the noise weights' sums, fold weights that agree
+    (``fold_ttransforms``), POVM images that coincide, POVM entries past
+    [0, 1] and the supports of a round and of the final filter, a catalyst
+    grid end past 1, the score ties of both searches, a Clifford's first
+    nonzero entry, and in the CLI an all-zero weight vector and equal axis
+    values. Derived: policy, about 4500 eps; such a result is at most a few
+    hundred operations from its inputs (a 64-dim trace, a Vidal ratio), so
+    its rounding is under 1e-13, and the paper's values differ in the
+    fourth to sixth digit. Test: TestUnitTol.
+DEGENERACY_TOL = 1e-11
+    Separates singular values that form one gauge block from distinct
+    ones, and a nonzero one from zero (``_gauge_blocks``). Derived: policy,
+    about 5000 times the SVD's absolute error d eps |psi| = 1.8e-15 at
+    d = 8, so inputs a few ulps apart share their blocks.
+    Test: TestDegeneracyTol.
+STRUCTURAL_TOL = 1e-10
+    Separates an identity exact in exact arithmetic from a broken one:
+    Kraus completeness (``apply_channel``), POVM completeness, a state's
+    smallest eigenvalue, an eigenpair residual, the T-transform chain's
+    reconstruction, the auxiliary register's population outside |0...0>
+    and a filter entry's square past 1. Derived: policy; each check follows
+    O(d^2) unit-scale operations on at most 64 dimensions, whose rounding
+    stays below 64^2 u = 4.5e-13, with a factor of 200 to spare.
+    Test: TestStructuralTol.
+TOP_DEGENERACY_TOL = 1e-9
+    Separates a degenerate top eigenvalue of a state from a simple one
+    (``top_eigenstate``). Derived: policy; eigh's error on a pair state is
+    about 4 eps, and eigenvalues equal for parameters written to nine
+    digits (INPUT_TOL) must count as equal. Test: TestTopDegeneracyTol.
+INPUT_TOL = 1e-9
+    Separates a caller's number that is right to its written precision
+    from a wrong one: a Schmidt vector's sum and order (``majorize``), a
+    CLI range's step count. Derived: policy, numbers written to nine
+    significant digits. Test: TestInputTol.
+MIN_ACCEPTANCE = 1e-9
+    Separates a distillation plan worth running from one that accepts too
+    rarely (``run_distillation`` raises, ``optimize_distillation`` skips
+    it). Derived: policy. Test: TestMinAcceptance.
+PIN_TOL = 1e-8
+    Separates an overlap or projection the gauge pin can use from one too
+    weak to (the Schmidt gauge, ``_canonical_span``, the degenerate
+    surrogate). Derived: sqrt(eps) = 1.5e-8; rounding moves the polar
+    factor of an overlap with smallest singular value s by about eps / s,
+    which stays below s only for s above sqrt(eps). Test: TestPinTol.
 """
 
 from __future__ import annotations
@@ -25,12 +107,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-STRUCTURAL_TOL = 1e-10
-NORM_TOL = 1e-12
-DEGENERACY_TOL = 1e-11
-PIN_TOL = 1e-8
-TOP_DEGENERACY_TOL = 1e-9
+# The tolerance table, described in the module docstring.
+ZERO_TOL = 1e-15
+WEIGHT_TOL = 1e-14
+RESIDUAL_TOL = 1e-13
 UNIT_TOL = 1e-12
+DEGENERACY_TOL = 1e-11
+STRUCTURAL_TOL = 1e-10
+TOP_DEGENERACY_TOL = 1e-9
+INPUT_TOL = 1e-9
+MIN_ACCEPTANCE = 1e-9
+PIN_TOL = 1e-8
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,18 +176,20 @@ def _check_probability(value, name: str) -> None:
 def assert_density_matrix(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace and positivity of a density matrix.
 
-    Hermiticity is held to 1e-12 absolute in every entry; a NaN fails it.
+    Hermiticity and the trace are held to UNIT_TOL absolute, every entry
+    of rho - rho^dagger included; a NaN fails. Eigenvalues down to
+    -STRUCTURAL_TOL count as nonnegative.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if not abs(rho - rho.conj().T).max() <= 1e-12:
-        raise ValueError("density matrix is not Hermitian within 1e-12")
-    if abs(np.trace(rho).real - 1.0) > NORM_TOL:
-        raise ValueError("density matrix trace differs from 1 beyond 1e-12")
+    if not abs(rho - rho.conj().T).max() <= UNIT_TOL:
+        raise ValueError(f"density matrix is not Hermitian within {UNIT_TOL}")
+    if abs(np.trace(rho).real - 1.0) > UNIT_TOL:
+        raise ValueError(f"density matrix trace differs from 1 beyond {UNIT_TOL}")
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -STRUCTURAL_TOL:
-        raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < -1e-10")
+        raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < {-STRUCTURAL_TOL}")
 
 
 def clip_unit(value, what: str):
@@ -120,10 +209,10 @@ def clip_unit(value, what: str):
 
 
 def assert_pure_state(psi: np.ndarray) -> None:
-    """Validate normalization of a pure-state vector; a NaN or inf entry fails it."""
+    """Validate the norm of a pure-state vector to UNIT_TOL; a NaN or inf entry fails it."""
     nrm = np.linalg.norm(np.asarray(psi))
-    if not abs(nrm - 1.0) <= NORM_TOL:
-        raise ValueError("pure state norm differs from 1 beyond 1e-12")
+    if not abs(nrm - 1.0) <= UNIT_TOL:
+        raise ValueError(f"pure state norm differs from 1 beyond {UNIT_TOL}")
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -318,7 +407,7 @@ def schmidt_decompose(
     unitary left/right basis matrices, with the gauge of
     ``_fix_degenerate_gauge`` pinned to the frame ``reference`` =
     (ref_left, ref_right), by default the computational basis.
-    Reconstruction error is below 1e-10:
+    Reconstruction error is below STRUCTURAL_TOL:
     psi = sum_i sqrt(lambda_i) left[:, i] kron right[:, i].
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -380,7 +469,7 @@ def top_eigenstate(rho: np.ndarray) -> tuple[float, np.ndarray]:
         vec = evecs[:, -1] * (phase.conj() / abs(phase))
     resid = np.linalg.norm(rho @ vec - top * vec)
     if resid > STRUCTURAL_TOL:
-        raise ArithmeticError(f"eigenpair residual {resid:.3e} exceeds 1e-10")
+        raise ArithmeticError(f"eigenpair residual {resid:.3e} exceeds {STRUCTURAL_TOL}")
     return float(top.real), vec
 
 
@@ -389,16 +478,17 @@ def apply_channel(
 ) -> np.ndarray:
     """Apply a Kraus channel to the qubit(s) ``on`` of a density matrix.
 
-    The Kraus set must be complete (sum K^dag K = I within 1e-10) on the
-    target qubits; trace and positivity are preserved.
+    The Kraus set must be complete on the target qubits: every entry of
+    sum K^dag K - I within STRUCTURAL_TOL. Trace and positivity are
+    preserved.
     """
     rho = np.asarray(rho, dtype=complex)
     n = len(_dims_for(rho.shape[0]))
     targets = [int(on)] if np.isscalar(on) else [int(q) for q in on]
     d_t = 2 ** len(targets)
     comp = sum(np.asarray(k, dtype=complex).conj().T @ np.asarray(k, dtype=complex) for k in kraus)
-    if not np.allclose(comp, np.eye(d_t), atol=STRUCTURAL_TOL):
-        raise ValueError("Kraus set is not complete within 1e-10")
+    if not abs(comp - np.eye(d_t)).max() <= STRUCTURAL_TOL:
+        raise ValueError(f"Kraus set is not complete within {STRUCTURAL_TOL}")
     perm = targets + [i for i in range(n) if i not in targets]
     moved = permute_subsystems(rho, perm)
     d_r = moved.shape[0] // d_t

@@ -310,6 +310,10 @@ class TestDiagonalPovmValidation:
         with pytest.raises(ValueError, match="at least one element"):
             DiagonalPOVM([], [])
 
+    def test_elements_of_no_entry_rejected(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            DiagonalPOVM([[]], [[]])
+
 class TestEmbedPovm:
     def test_certain_outcome_gives_z(self):
         povm = DiagonalPOVM(
@@ -750,6 +754,10 @@ class TestExecuteFilter:
         rho = np.eye(4) / 4
         with pytest.raises(ValueError):
             execute_filter(rho, np.array([1.2, 0.5]))
+
+    def test_rejects_empty_filter(self):
+        with pytest.raises(ValueError, match="filter needs at least one entry"):
+            execute_filter(np.eye(4) / 4, [])
 
     def test_weight_rounding_past_one_is_clipped(self):
         w, _ = execute_filter(np.eye(4) / 4 * (1.0 + 5e-13), np.ones(2))
