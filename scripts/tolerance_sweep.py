@@ -29,7 +29,10 @@ FACTORS = (10, 0.1)
 
 
 def table(source: str) -> dict:
-    """Name -> (value, line number) of each table entry of qmath's source."""
+    """Name -> (value, line number) of each table entry of qmath's source.
+
+    ``tests/test_tolerances.py`` reads the table by this rule too.
+    """
     return {
         node.targets[0].id: (node.value.value, node.lineno)
         for node in ast.parse(source).body

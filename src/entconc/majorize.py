@@ -85,18 +85,22 @@ def _tails(v: np.ndarray) -> np.ndarray:
 def vidal_probability(alpha, beta):
     """Maximal conversion probability min_l E_l(alpha)/E_l(beta).
 
-    E_l is the suffix sum from position l; positions with E_l(beta) at most
-    WEIGHT_TOL are skipped. Returns a value in (0, 1], equal to 1 exactly
-    when alpha is majorized by beta; the l = 0 ratio of two sums that round
-    apart is clipped by ``clip_unit``. A target of larger Schmidt rank than
-    the source, counting coefficients above WEIGHT_TOL, is unreachable and
-    yields 0.0; ``compile_schedule`` uses this rank rule too. Leading axes
-    batch and broadcast:
-    each entry equals, bit for bit, the call on its pair of 1-D vectors
-    alone, which gives a float.
+    E_l is the suffix sum from position l; positions past the target's
+    rank impose nothing and are skipped. Returns a value in (0, 1], equal
+    to 1 exactly when alpha is majorized by beta; the l = 0 ratio of two
+    sums that round apart is clipped by ``clip_unit``. A target of larger
+    Schmidt rank than the source is unreachable and yields 0.0. This is
+    the package's one rank rule, which ``compile_schedule`` uses too: the
+    target's rank counts its coefficients above WEIGHT_TOL, every weight
+    the final filter must deliver, and the source's counts those above
+    UNIT_TOL, the cut of the compile's supports, so every ratio taken has
+    a numerator above UNIT_TOL. Leading axes batch and broadcast: each
+    entry equals, bit for bit, the call on its pair of 1-D vectors alone,
+    which gives a float.
     """
     a, b = _as_schmidt(alpha), _as_schmidt(beta)
-    unreachable = (b > WEIGHT_TOL).sum(axis=-1) > (a > WEIGHT_TOL).sum(axis=-1)
+    ranked = b > WEIGHT_TOL
+    unreachable = ranked.sum(axis=-1) > (a > UNIT_TOL).sum(axis=-1)
     ta, tb = _tails(a), _tails(b)
     # suffix sums past a vector's end are 0: past alpha's the ratio is 0,
     # past beta's the position imposes nothing
@@ -105,7 +109,7 @@ def vidal_probability(alpha, beta):
         ta = np.concatenate([ta, np.zeros(ta.shape[:-1] + (d - ta.shape[-1],))], axis=-1)
     ta = ta[..., :d]
     ratio = np.full(np.broadcast(ta, tb).shape, np.inf)
-    np.divide(ta, tb, out=ratio, where=tb > WEIGHT_TOL)
+    np.divide(ta, tb, out=ratio, where=ranked)
     return clip_unit(np.where(unreachable, 0.0, ratio.min(axis=-1)), "conversion probability")
 
 
@@ -451,16 +455,17 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     (P v)[i] = v[p[i]]. The input is held to what the peel can decompose:
     entries down to -RESIDUAL_TOL / (2d) count as nonnegative, and every
     row and column sum must lie within RESIDUAL_TOL / (2d) of 1; beyond
-    that a ValueError is raised, and within it the peel ends with every
-    entry below RESIDUAL_TOL (see the ``qmath`` tolerance table).
+    that a ValueError says it is not doubly stochastic, and within it the
+    peel ends with every entry below RESIDUAL_TOL (see the ``qmath``
+    tolerance table). An empty or non-square input raises ValueError.
     """
     m = np.asarray(dmat, dtype=float)
     d = m.shape[0]
-    tol = RESIDUAL_TOL / max(2 * d, 1)
-    if m.shape != (d, d) or m.min() < -tol:
-        raise ValueError("not a nonnegative square matrix")
+    if m.shape != (d, d) or d == 0:
+        raise ValueError("not a nonempty square matrix")
+    tol = RESIDUAL_TOL / (2 * d)
     sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
-    if not np.all(np.abs(sums - 1.0) <= tol):
+    if m.min() < -tol or not np.all(np.abs(sums - 1.0) <= tol):
         raise ValueError("matrix is not doubly stochastic")
     flat = m.ravel().tolist()
     matchings = _support_matchings(m.tolist(), MATCHING_CAP)

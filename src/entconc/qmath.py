@@ -30,38 +30,41 @@ ZERO_TOL = 1e-15
     both matchings, ``step_terms``). Derived: about 4.5 eps, the rounding
     of the one subtraction x - q that leaves an entry. Test: TestZeroTol.
 WEIGHT_TOL = 1e-14
-    Separates a zero weight from a positive one: a Schmidt coefficient or
-    suffix sum in ``vidal_probability`` (the package's one Schmidt-rank
-    rule, and the positions its ratio skips), a branch weight in
-    ``execute_round``, a filter weight in ``execute_filter``; ``embed_povm``
-    takes its reflection's limit where |v| is below it (|v|^2 below its
-    square). Derived: 64 u = 7e-15, the rounding of a sum of 64 unit-scale
-    terms (the diagonal of a catalytic run's 64-dim state), rounded up.
-    Test: TestWeightTol.
+    Separates a zero weight from a positive one: a target's Schmidt
+    coefficient in the package's one rank rule (``vidal_probability``;
+    positions past that rank impose nothing), a branch weight in
+    ``execute_round``, a filter weight in ``execute_filter``;
+    ``embed_povm`` takes its reflection's limit where |v| is below it
+    (|v|^2 below its square). Derived: 64 u = 7e-15, the rounding of a sum
+    of 64 unit-scale terms (the diagonal of a catalytic run's 64-dim
+    state), rounded up. Test: TestWeightTol.
 RESIDUAL_TOL = 1e-13
-    Separates a greedy decomposition that is done from one that is not:
-    the T-transform chain has reached its target, the Birkhoff peel and
+    Separates a greedy decomposition that is done from one that is not: the
+    T-transform chain has reached its target, the Birkhoff peel and
     ``step_terms`` stop. ``birkhoff_decompose`` accepts row and column sums
     within RESIDUAL_TOL / (2d) of 1, and entries down to minus that: by
-    Koenig's theorem a sum error delta leaves at most 2 d delta in one
-    entry once no positive matching remains, which must fall below the
-    stop (the bound leaves out entries zeroed below ZERO_TOL; perturbed
-    mixtures at d <= 8 that pass the check all decompose). Derived: the chain and the peel take up to (d - 1)^2 + 1 = 50
-    steps at d = 8, each rounding an entry by u: 50 u = 5.6e-15, with a
-    factor of about 20 to spare. Test: TestResidualTol.
+    Koenig's theorem a sum error delta leaves at most 2 d delta in one entry
+    once no positive matching remains, which must fall below the stop (the
+    bound leaves out entries zeroed below ZERO_TOL; perturbed mixtures at
+    d <= 8 that pass the check all decompose). Derived: the chain and the
+    peel take up to (d - 1)^2 + 1 = 50 steps at d = 8, each rounding an
+    entry by u: 50 u = 5.6e-15, with a factor of about 20 to spare.
+    Test: TestResidualTol.
 UNIT_TOL = 1e-12
     Separates rounding from a real excess in one unit-scale result: a
     probability or fidelity past [0, 1] (``clip_unit``), a state's norm,
-    trace or Hermiticity, a Schmidt entry below 0 and majorization's
-    prefix sums, the noise weights' sums, fold weights that agree
+    trace or Hermiticity, a Schmidt entry below 0 and majorization's prefix
+    sums, the noise weights' sums, fold weights that agree
     (``fold_ttransforms``), POVM images that coincide, POVM entries past
-    [0, 1] and the supports of a round and of the final filter, a catalyst
-    grid end past 1, the score ties of both searches, a Clifford's first
-    nonzero entry, and in the CLI an all-zero weight vector and equal axis
-    values. Derived: policy, about 4500 eps; such a result is at most a few
-    hundred operations from its inputs (a 64-dim trace, a Vidal ratio), so
-    its rounding is under 1e-13, and the paper's values differ in the
-    fourth to sixth digit. Test: TestUnitTol.
+    [0, 1], the supports of a round and of the final filter, and with them a
+    source's Schmidt coefficient in the rank rule (the source side, so no
+    coefficient below the supports serves a target's), a catalyst grid end
+    past 1, the score ties of both searches, a Clifford's first nonzero
+    entry, and in the CLI an all-zero weight vector and equal axis values.
+    Derived: policy, about 4500 eps; such a result is at most a few hundred
+    operations from its inputs (a 64-dim trace, a Vidal ratio), so its
+    rounding is under 1e-13, and the paper's values differ in the fourth to
+    sixth digit. Test: TestUnitTol.
 DEGENERACY_TOL = 1e-11
     Separates singular values that form one gauge block from distinct
     ones, and a nonzero one from zero (``_gauge_blocks``). Derived: policy,

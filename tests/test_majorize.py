@@ -373,6 +373,12 @@ class TestBirkhoffDecompose:
         weights = sorted(w for w, _ in terms)
         assert np.allclose(weights, [0.25, 0.75], atol=1e-10)
 
+    @pytest.mark.parametrize("m", [np.zeros((0, 0)), np.zeros(0), np.full((2, 3), 0.5)],
+                             ids=["empty", "one-dimensional", "non-square"])
+    def test_rejects_empty_or_non_square(self, m):
+        with pytest.raises(ValueError, match="not a nonempty square matrix"):
+            birkhoff_decompose(m)
+
     def test_identity(self):
         terms = birkhoff_decompose(np.eye(3))
         assert len(terms) == 1

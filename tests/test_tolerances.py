@@ -11,6 +11,7 @@ them with the entry. The last tests hold every tolerance literal of
 
 import ast
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import bell_diagonal
-from entconc import PHI_PLUS, cli, locc, majorize, protocols, qmath
+from entconc import cli, locc, majorize, protocols, qmath
 from entconc.locc import DiagonalPOVM, compile_schedule, embed_povm, execute_filter
 from entconc.majorize import (
     TTransform,
@@ -31,6 +32,9 @@ from entconc.majorize import (
 )
 from entconc.noise import NoiseParams
 from entconc.protocols import DistillationPlan, run_distillation
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from tolerance_sweep import table  # noqa: E402  (one rule for what the table is)
 
 
 class TestZeroTol:
@@ -56,32 +60,40 @@ class TestZeroTol:
         assert (perm.tolist() == [1, 0]) is swap
 
 
-def _source(c):
-    """Two-qubit pure state with Schmidt coefficients (1 - c, c)."""
-    return np.array([np.sqrt(1.0 - c), 0.0, 0.0, np.sqrt(c)], dtype=complex)
+def _schmidt_state(coefficients):
+    """Pure state sum_i sqrt(c_i) |i>|i> on two registers of len(c) levels."""
+    d = len(coefficients)
+    psi = np.zeros(d * d, dtype=complex)
+    psi[:: d + 1] = np.sqrt(coefficients)
+    return psi
+
+
+def _assert_runs_to(schedule, target):
+    w, rho = locc.run_schedule(schedule)
+    assert w == pytest.approx(schedule.success_probability, rel=1e-9)
+    assert qmath.fidelity(rho, target) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestWeightTol:
-    """1e-14: weights and Schmidt coefficients at most it are zero."""
+    """1e-14: weights and target Schmidt coefficients at most it are zero."""
 
-    def test_rank_rule_inside(self):
-        c = 0.5e-14
-        assert vidal_probability([1.0 - c, c], [0.5, 0.5]) == 0.0
-        with pytest.raises(ValueError, match="target Schmidt rank exceeds the source rank"):
-            compile_schedule(_source(c), PHI_PLUS)
-        with pytest.raises(ValueError, match="target Schmidt rank exceeds the source rank"):
-            majorize.vidal_intermediate([1.0 - c, c], [0.5, 0.5])
-
-    @pytest.mark.parametrize("c", [2e-14, 1e-13])
-    def test_rank_rule_outside(self, c):
-        # one rank rule: the compile plans what vidal_probability scores
-        p = vidal_probability([1.0 - c, c], [0.5, 0.5])
-        assert p == pytest.approx(2 * c, rel=1e-6)
-        schedule = compile_schedule(_source(c), PHI_PLUS)
-        assert schedule.success_probability == pytest.approx(p, rel=1e-9)
-        w, rho = locc.run_schedule(schedule)
-        assert w == pytest.approx(p, rel=1e-6)
-        assert qmath.fidelity(rho, PHI_PLUS) == pytest.approx(1.0, abs=1e-9)
+    # the target's rank counts coefficients above WEIGHT_TOL; the source
+    # (0.5, 0.5, 0, 0) has none at the third position
+    @pytest.mark.parametrize("c, reachable", [(0.5e-14, True), (2e-14, False)])
+    def test_rank_rule_target(self, c, reachable):
+        source = [0.5, 0.5, 0.0, 0.0]
+        target = [0.5, 0.5 - c, c, 0.0]
+        p = vidal_probability(source, target)
+        if reachable:
+            assert p == 1.0
+            _assert_runs_to(
+                compile_schedule(_schmidt_state(source), _schmidt_state(target)),
+                _schmidt_state(target),
+            )
+        else:
+            assert p == 0.0
+            with pytest.raises(ValueError, match="target Schmidt rank exceeds the source rank"):
+                compile_schedule(_schmidt_state(source), _schmidt_state(target))
 
     @pytest.mark.parametrize("w, normalized", [(0.5e-14, False), (2e-14, True)])
     def test_filter_weight(self, w, normalized):
@@ -133,7 +145,7 @@ class TestResidualTol:
         if ok:
             assert [p.tolist() for _, p in birkhoff_decompose(m)] == [[0, 1]]
         else:
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="not doubly stochastic"):
                 birkhoff_decompose(m)
 
 
@@ -148,6 +160,35 @@ class TestUnitTol:
         else:
             with pytest.raises(ArithmeticError):
                 qmath.clip_unit(x, "p")
+
+    # the source's rank counts coefficients above UNIT_TOL, the cut of the
+    # compile's supports; (1 - 3c, 2c, c) needs its two smallest
+    @pytest.mark.parametrize("c, reachable", [(0.5e-12, False), (2e-12, True)])
+    @pytest.mark.parametrize("source, target, p", [
+        (lambda c: [1.0 - c, c], [0.5, 0.5], lambda c: 2 * c),
+        (lambda c: [1.0 - 3 * c, 2 * c, c, 0.0], [0.5, 0.25, 0.25, 0.0], lambda c: 4 * c),
+    ], ids=["2x2", "4x4"])
+    def test_rank_rule_source(self, c, reachable, source, target, p):
+        source = source(c)
+        if reachable:
+            assert vidal_probability(source, target) == pytest.approx(p(c), rel=1e-6)
+            schedule = compile_schedule(_schmidt_state(source), _schmidt_state(target))
+            assert schedule.success_probability == pytest.approx(p(c), rel=1e-6)
+            _assert_runs_to(schedule, _schmidt_state(target))
+        else:
+            assert vidal_probability(source, target) == 0.0
+            with pytest.raises(ValueError, match="target Schmidt rank exceeds the source rank"):
+                compile_schedule(_schmidt_state(source), _schmidt_state(target))
+            with pytest.raises(ValueError, match="target Schmidt rank exceeds the source rank"):
+                majorize.vidal_intermediate(source, target)
+
+    def test_rank_rule_below_supports(self):
+        # coefficients 5e-13 and 1e-13 lie below the supports of the final
+        # filter; counting them would give a filter (sqrt(2e-13), 1, 1, 1)
+        # and a run of weight 8e-13 at fidelity 0.86 instead of p = 4e-13
+        source = _schmidt_state([1.0 - 6e-13, 5e-13, 1e-13, 0.0])
+        with pytest.raises(ValueError, match="target Schmidt rank exceeds the source rank"):
+            compile_schedule(source, _schmidt_state([0.5, 0.25, 0.25, 0.0]))
 
     @pytest.mark.parametrize("gap, best", [(0.5e-12, 0), (2e-12, 1)])
     def test_distillation_tie(self, gap, best):
@@ -335,16 +376,8 @@ ALLOWED = {
 
 
 def _table():
-    """Name -> (value, line) of the module-level float constants below 1e-3 in qmath."""
-    tree = ast.parse((PACKAGE / "qmath.py").read_text())
-    return {
-        node.targets[0].id: (node.value.value, node.lineno)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Constant)
-        and isinstance(node.value.value, float)
-        and 0 < node.value.value < 1e-3
-    }
+    """The table entries of the imported qmath, by the sweep script's rule."""
+    return table((PACKAGE / "qmath.py").read_text())
 
 
 def _small_literals():
@@ -378,10 +411,10 @@ def test_allow_list_is_current():
 
 
 def test_table_size_and_documentation():
-    table = _table()
-    assert 0 < len(table) <= 12
-    for name in table:
+    entries = _table()
+    assert 0 < len(entries) <= 12
+    for name in entries:
         assert f"\n{name} = " in qmath.__doc__
     pinned_by = re.findall(r"Test: (Test\w+)\.", qmath.__doc__)
-    assert len(pinned_by) == len(table)
+    assert len(pinned_by) == len(entries)
     assert all(isinstance(globals().get(cls), type) for cls in pinned_by)
