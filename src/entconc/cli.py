@@ -29,12 +29,11 @@ import sys
 import numpy as np
 
 from .locc import compile_schedule, schedule_to_document
-from .noise import PHI_PLUS, NoiseParams, prepare_state
+from .noise import NoiseParams, prepare_state
 from .qmath import INPUT_TOL, UNIT_TOL
 from .protocols import (
     cec_planning_states,
     find_catalyst,
-    joint_surrogate,
     nec_planning_states,
     optimize_distillation,
     reuse_catalyst,
@@ -149,7 +148,7 @@ def _point_results(protocols, params: NoiseParams, g: int, recompile: bool) -> d
     if "nec" in protocols:
         out["nec"] = run_nec(rho, rho, g, params.p_g)
     if "cec" in protocols or "catalyst-reuse" in protocols:
-        catalyst = find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
+        catalyst = find_catalyst(*nec_planning_states(rho, rho))
         out["cec"] = run_cec(rho, rho, catalyst, g, params.p_g)
         if "catalyst-reuse" in protocols:
             out["catalyst-reuse"] = reuse_catalyst(
@@ -325,7 +324,7 @@ def _cmd_compile(args) -> int:
     if args.protocol == "nec":
         schedule = compile_schedule(*nec_planning_states(rho, rho), args.g)
     else:
-        catalyst = find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
+        catalyst = find_catalyst(*nec_planning_states(rho, rho))
         schedule = compile_schedule(*cec_planning_states(rho, rho, catalyst.state), args.g)
         context["catalyst_c1"] = float(catalyst.schmidt[0])
         context["catalyst_probability"] = catalyst.achieved_probability

@@ -392,16 +392,17 @@ def execute_filter(state: np.ndarray, filter_diag) -> tuple:
     """Apply the final probabilistic filter on party A's data register.
 
     The filter F is diagonal with at least one entry ``filter_diag`` and
-    must satisfy F†F <= I within STRUCTURAL_TOL. Returns (success weight,
-    normalized success state) where the weight is tr(F rho F†), clipped
-    into [0, 1] by ``clip_unit``; a weight at most WEIGHT_TOL leaves the
-    state unnormalized.
+    must satisfy F†F <= I within STRUCTURAL_TOL; entries past 1 are then
+    taken as 1. Returns (success weight, normalized success state) where
+    the weight is tr(F rho F†), clipped into [0, 1] by ``clip_unit``; a
+    weight at most WEIGHT_TOL leaves the state unnormalized.
     """
     f = np.asarray(filter_diag, dtype=float).reshape(-1)
     if not f.size:
         raise ValueError("a filter needs at least one entry")
     if not (np.max(f**2) <= 1 + STRUCTURAL_TOL and f.min() >= 0):
         raise ValueError("filter entries must satisfy 0 <= f_i^2 <= 1")
+    f = np.minimum(f, 1.0)
     d = f.size
     dim = state.shape[0]
     d_b = dim // d

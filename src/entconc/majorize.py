@@ -87,10 +87,11 @@ def vidal_probability(alpha, beta):
 
     E_l is the suffix sum from position l; positions past the target's
     rank impose nothing and are skipped. Returns a value in (0, 1], equal
-    to 1 exactly when alpha is majorized by beta; the l = 0 ratio of two
-    sums that round apart is clipped by ``clip_unit``. A target of larger
-    Schmidt rank than the source is unreachable and yields 0.0. This is
-    the package's one rank rule, which ``compile_schedule`` uses too: the
+    to 1 exactly when alpha is majorized by beta: the ratios are capped at
+    1, so the l = 0 ratio of two sums that differ within INPUT_TOL reads 1,
+    and one below 0 beyond UNIT_TOL raises in ``clip_unit``. A target of
+    larger Schmidt rank than the source is unreachable and yields 0.0. This
+    is the package's one rank rule, which ``compile_schedule`` uses too: the
     target's rank counts its coefficients above WEIGHT_TOL, every weight
     the final filter must deliver, and the source's counts those above
     UNIT_TOL, the cut of the compile's supports, so every ratio taken has
@@ -110,7 +111,8 @@ def vidal_probability(alpha, beta):
     ta = ta[..., :d]
     ratio = np.full(np.broadcast(ta, tb).shape, np.inf)
     np.divide(ta, tb, out=ratio, where=ranked)
-    return clip_unit(np.where(unreachable, 0.0, ratio.min(axis=-1)), "conversion probability")
+    p = np.where(unreachable, 0.0, ratio.min(axis=-1, initial=1.0))
+    return clip_unit(p, "conversion probability")
 
 
 def vidal_intermediate(alpha, beta) -> np.ndarray:
@@ -159,7 +161,9 @@ def t_transform_decompose(alpha, beta) -> list[TTransform]:
     Repeatedly picks the smallest index j where the current vector exceeds
     the target alpha and the next index k > j where it falls short, then
     levels whichever gap is smaller. Entries within RESIDUAL_TOL of the
-    target count as reached. Requires is_majorized(alpha, beta).
+    target count as reached, and the chain stops when no such j and k
+    remain; a vector then off the target by more than STRUCTURAL_TOL
+    raises ArithmeticError. Requires is_majorized(alpha, beta).
     """
     a, b = _pad_pair(alpha, beta)
     if not _majorized(a, b):
@@ -168,10 +172,12 @@ def t_transform_decompose(alpha, beta) -> list[TTransform]:
     cur = b.copy()
     above, below = a + RESIDUAL_TOL, a - RESIDUAL_TOL
     for _ in range(a.size - 1):
-        if abs(cur - a).max() < RESIDUAL_TOL:
+        over = cur > above
+        j = int(over.argmax())
+        short = cur[j + 1 :] < below[j + 1 :]
+        if not (over[j] and short.any()):
             break
-        j = int((cur > above).argmax())
-        k = j + 1 + int((cur[j + 1 :] < below[j + 1 :]).argmax())
+        k = j + 1 + int(short.argmax())
         cj, ck = cur.item(j), cur.item(k)
         delta = min(cj - a.item(j), a.item(k) - ck)
         t = 1.0 - delta / (cj - ck)
@@ -230,37 +236,30 @@ def expand_step(step: tuple, d: int) -> np.ndarray:
 
 
 def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
-    """Birkhoff terms of a step's matrix t I + (1-t) P, without the search.
+    """Birkhoff terms of a step's matrix t I + (1-t) P, in closed form.
 
-    ``birkhoff_decompose``'s peel of ``expand_step(step, d)``, bit for bit,
-    run on the matrix's three entry classes, which the peel keeps uniform:
-    moved diagonal (t), moved off-diagonal (1 - t) and, when some
-    coordinate is fixed, fixed diagonal (1). Of I and P, which carry the
-    whole matrix, each step peels the one of larger bottleneck, I on a tie
-    within the search's ZERO_TOL. Valid for t in [0, 1].
+    ``birkhoff_decompose(expand_step(step, d))``, bit for bit: the peel
+    takes the larger of (t, I) and (1 - t, P) first, I on a tie within
+    ZERO_TOL, and then what is left. After P, the identity's weight is t
+    bounded by the fixed coordinates' remainder 1 - (1 - t), and the term
+    is kept when either of them reaches RESIDUAL_TOL; after I, the swap's
+    weight 1 - t is kept when it reaches RESIDUAL_TOL. The weights are
+    divided by their sum. Valid for t in [0, 1].
     """
+    t = step[0].t
     ident = np.arange(d)
     swap = ident.copy()
     for j, k, _ in step:
         swap[j], swap[k] = k, j
-    fixed = 2 * len(step) < d
-    # with no fixed coordinate its class is inf: it then bounds no minimum
-    diag, off, fix = step[0].t, 1.0 - step[0].t, 1.0 if fixed else np.inf
-    terms = []
-    for _ in range((d - 1) ** 2 + 2):
-        if max(diag, off, fix if fixed else 0.0) < RESIDUAL_TOL:
-            break
-        on_ident, on_swap = min(diag, fix), min(off, fix)
-        if on_ident < on_swap - ZERO_TOL:
-            q, perm, off = on_swap, swap, off - on_swap
-        else:
-            q, perm, diag = on_ident, ident, diag - on_ident
-        fix -= q
-        diag, off, fix = (0.0 if x < ZERO_TOL else x for x in (diag, off, fix))
-        terms.append((q, perm))
+    if t < 1.0 - t - ZERO_TOL:
+        # the fixed coordinates' diagonal keeps 1 - (1 - t), not t
+        rest = 1.0 - (1.0 - t) if 2 * len(step) < d else t
+        terms = [(1.0 - t, swap), (min(t, rest), ident)]
+        keep = max(t, rest) >= RESIDUAL_TOL
     else:
-        raise ArithmeticError(_TERM_BOUND)
-    return _normalized(terms)
+        terms = [(t, ident), (1.0 - t, swap)]
+        keep = 1.0 - t >= RESIDUAL_TOL
+    return _normalized(terms if keep else terms[:1])
 
 
 def group_ttransforms(steps: list, g: int, d: int) -> list[np.ndarray]:
@@ -274,8 +273,9 @@ def group_ttransforms(steps: list, g: int, d: int) -> list[np.ndarray]:
         raise ValueError("group size must be at least 1")
     out = []
     for start in range(0, len(steps), g):
-        m = np.eye(d)
-        for step in steps[start : start + g]:
+        first, *rest = steps[start : start + g]
+        m = expand_step(first, d)
+        for step in rest:
             m = expand_step(step, d) @ m
         out.append(m)
     return out
@@ -402,7 +402,6 @@ def _first_bottleneck(matchings: list, d: int):
     return match
 
 
-_TERM_BOUND = "Birkhoff extraction exceeded the term bound"
 # Past this many support matchings (40320 for a dense 8 x 8 matrix) a
 # decomposition binary-searches each bottleneck instead of listing them.
 MATCHING_CAP = 256
@@ -417,9 +416,9 @@ def _peel(flat: list, d: int, match) -> list[tuple[float, np.ndarray]]:
     """Greedy extraction of Birkhoff terms from the flat d x d matrix, in place.
 
     Each step removes the largest weight that the matching ``match(flat)``
-    (a column per row) carries, zeroes entries below ZERO_TOL, and the peel
-    stops once all are below RESIDUAL_TOL. The weights are returned divided
-    by their sum.
+    (a column per row) carries and zeroes the entries it leaves below
+    ZERO_TOL; the peel stops once all are below RESIDUAL_TOL. The weights
+    are returned divided by their sum.
     """
     terms = []
     for _ in range((d - 1) ** 2 + 2):
@@ -431,26 +430,23 @@ def _peel(flat: list, d: int, match) -> list[tuple[float, np.ndarray]]:
         for i in idx:
             x = flat[i] - q
             flat[i] = 0.0 if x < ZERO_TOL else x
-        if not terms:
-            # the input's own entries below ZERO_TOL go with the first term;
-            # after it, a term changes only the entries it carries
-            flat[:] = [0.0 if x < ZERO_TOL else x for x in flat]
         terms.append((q, np.array(cols, dtype=int)))
     else:
-        raise ArithmeticError(_TERM_BOUND)
+        raise ArithmeticError("Birkhoff extraction exceeded the term bound")
     return _normalized(terms)
 
 
 def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Convex decomposition of a doubly-stochastic matrix into permutations.
 
-    Greedy max-bottleneck extraction: each step removes the largest weight
-    supported on strictly positive entries, zeroing at least one entry, so
-    the term count is bounded by (d-1)^2 + 1. The matching of each step is
-    ``_lex_bottleneck_matching``'s; the perfect matchings of the input's
-    positive support are listed once (``_support_matchings``), and each
-    step picks from that list (``_first_bottleneck``). Past MATCHING_CAP of
-    them, each step runs ``_lex_bottleneck_matching`` itself. Permutations
+    Greedy max-bottleneck extraction: the input's entries below ZERO_TOL
+    are zeroed once, and each step removes the largest weight supported on
+    strictly positive entries, zeroing at least one entry, so the term
+    count is bounded by (d-1)^2 + 1. The matching of each step is
+    ``_lex_bottleneck_matching``'s; the perfect matchings of that positive
+    support are listed once (``_support_matchings``), and each step picks
+    from that list (``_first_bottleneck``). Past MATCHING_CAP of them, each
+    step runs ``_lex_bottleneck_matching`` itself. Permutations
     are returned as index arrays p with matrix[i, p[i]] = 1, so
     (P v)[i] = v[p[i]]. The input is held to what the peel can decompose:
     entries down to -RESIDUAL_TOL / (2d) count as nonnegative, and every
@@ -467,6 +463,7 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
     if m.min() < -tol or not np.all(np.abs(sums - 1.0) <= tol):
         raise ValueError("matrix is not doubly stochastic")
+    m = np.where(m < ZERO_TOL, 0.0, m)
     flat = m.ravel().tolist()
     matchings = _support_matchings(m.tolist(), MATCHING_CAP)
     if matchings is None:

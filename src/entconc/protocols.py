@@ -273,39 +273,34 @@ def run_nec(rho_a: np.ndarray, rho_b: np.ndarray, g: int = 1, p_g: float = 0.0) 
     return _execute(schedule, pairs, p_g)
 
 
-def find_catalyst(surrogate: np.ndarray, target: np.ndarray, resolution: float = 1e-4) -> CatalystSpec:
+# The catalyst grid c1 = 0.5, 0.5001, ..., 1 and its Schmidt pairs (c1, 1 - c1).
+_C1 = 0.5 + np.arange(5001) * 1e-4
+_CATALYSTS = np.stack([_C1, 1.0 - _C1], axis=1)
+_read_only(_C1, _CATALYSTS)
+
+
+def find_catalyst(surrogate: np.ndarray, target: np.ndarray) -> CatalystSpec:
     """Search one-pair catalysts maximizing the conversion probability.
 
-    Grid search over the catalyst Schmidt coefficient c1 in [0.5, 1] at the
-    given resolution, scoring vidal_probability of the catalyst-augmented
-    conversion for the whole grid in one call. The tie rule is a running
-    maximum, not an argmax: scanning c1 upward, a point is kept when it
-    comes within UNIT_TOL of the best score before it, and the last kept
-    point wins. So ties go to the least entangled catalyst, and
-    deterministically convertible inputs return the product catalyst
-    (1, 0). ``achieved_probability`` is the best score on the grid.
-    Raises ValueError unless ``resolution`` is finite and positive and the
-    grid 0.5 + i * resolution, i = 0..round(0.5 / resolution), ends at or
-    below 1 (within UNIT_TOL).
+    Grid search over the catalyst Schmidt coefficient c1 = 0.5, 0.5001,
+    ..., 1, scoring vidal_probability of the catalyst-augmented conversion
+    for the whole grid in one call. The tie rule is a running maximum, not
+    an argmax: scanning c1 upward, a point is kept when it comes within
+    UNIT_TOL of the best score before it, and the last kept point wins. So
+    ties go to the least entangled catalyst, and deterministically
+    convertible inputs return the product catalyst (1, 0).
+    ``achieved_probability`` is the best score on the grid.
 
     As ``compile_schedule`` does, the last ``_MEMO_SIZE`` results are kept,
-    keyed on the complex128 bytes of the flattened inputs and the
-    resolution as a float, and returned shared, with read-only arrays.
-    Code that patches the search's internals must call
-    ``find_catalyst.cache_clear()`` first.
+    keyed on the complex128 bytes of the flattened inputs, and returned
+    shared, with read-only arrays. Code that patches the search's internals
+    must call ``find_catalyst.cache_clear()`` first.
     """
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
-    return _find_catalyst(_input_bytes(surrogate), _input_bytes(target), float(resolution))
+    return _find_catalyst(_input_bytes(surrogate), _input_bytes(target))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _find_catalyst(source: bytes, target: bytes, resolution: float) -> CatalystSpec:
-    c1 = 0.5 + np.arange(int(round(0.5 / resolution)) + 1) * resolution
-    if c1[-1] > 1.0 + UNIT_TOL:
-        raise ValueError(
-            f"resolution {resolution!r} puts the c1 grid at {float(c1[-1])!r}, past 1"
-        )
+def _find_catalyst(source: bytes, target: bytes) -> CatalystSpec:
     vectors = []
     for state in (np.frombuffer(b, dtype=complex) for b in (source, target)):
         d = math.isqrt(state.size)
@@ -313,12 +308,11 @@ def _find_catalyst(source: bytes, target: bytes, resolution: float) -> CatalystS
             raise ValueError("state does not split into equal halves")
         vectors.append(schmidt_decompose(state, d, d).coefficients)
     sigma, tau = vectors
-    cat = np.stack([c1, 1.0 - c1], axis=1)
-    joint = (np.sort(np.einsum("i,cj->cij", v, cat).reshape(c1.size, -1)) for v in (sigma, tau))
-    p = vidal_probability(*(rows[:, ::-1] for rows in joint))
+    joint = (np.einsum("i,cj->cij", v, _CATALYSTS).reshape(_C1.size, -1) for v in (sigma, tau))
+    p = vidal_probability(*(np.sort(rows)[:, ::-1] for rows in joint))
     before = np.concatenate([[-1.0], np.maximum.accumulate(p)[:-1]])
     best = np.flatnonzero(p > before - UNIT_TOL)[-1]
-    spec = catalyst_from_schmidt(min(float(c1[best]), 1.0), achieved=float(p.max()))
+    spec = catalyst_from_schmidt(float(_C1[best]), achieved=float(p.max()))
     _read_only(spec.schmidt, spec.state)
     return spec
 

@@ -58,9 +58,9 @@ UNIT_TOL = 1e-12
     (``fold_ttransforms``), POVM images that coincide, POVM entries past
     [0, 1], the supports of a round and of the final filter, and with them a
     source's Schmidt coefficient in the rank rule (the source side, so no
-    coefficient below the supports serves a target's), a catalyst grid end
-    past 1, the score ties of both searches, a Clifford's first nonzero
-    entry, and in the CLI an all-zero weight vector and equal axis values.
+    coefficient below the supports serves a target's), the score ties of
+    both searches, a Clifford's first nonzero entry, and in the CLI an
+    all-zero weight vector and equal axis values.
     Derived: policy, about 4500 eps; such a result is at most a few hundred
     operations from its inputs (a 64-dim trace, a Vidal ratio), so its
     rounding is under 1e-13, and the paper's values differ in the fourth to

@@ -765,6 +765,13 @@ class TestExecuteFilter:
         with pytest.raises(ArithmeticError):
             execute_filter(np.eye(4) / 2, np.ones(2))
 
+    def test_entry_past_one_within_structural_tol_is_capped(self):
+        # f^2 = 1 + 5e-11 passes the entry check; the weight on it reads 1
+        rho = np.diag([1.0, 0.0, 0.0, 0.0])
+        w, out = execute_filter(rho, [np.sqrt(1.0 + 5e-11), 1.0])
+        assert w == 1.0
+        assert np.array_equal(out, rho)
+
     def test_random_sources_succeed_with_weight_at_most_one(self, rng):
         for _ in range(12):
             sched = compile_schedule(random_bipartite(rng, 8, 8), padded_bell(8))

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_pure_state, random_schmidt_vector
 
@@ -115,8 +115,15 @@ class TestVidalProbability:
         assert vidal_probability([0.5 + 1e-13] * 2, [0.5, 0.5]) == 1.0
 
     def test_excess_beyond_rounding_raises(self):
+        # negative entries within UNIT_TOL each, but their sum leaves the
+        # l = 2 tail at -1.9e-12: a ratio of -9.5
+        alpha = [0.5 + 1.9e-12, 0.5, 1.1e-12, -1e-12, -1e-12, -1e-12]
         with pytest.raises(ArithmeticError):
-            vidal_probability([0.5 + 1e-10] * 2, [0.5, 0.5])
+            vidal_probability(alpha, [0.5, 0.5 - 2e-13, 2e-13])
+
+    def test_sum_off_within_input_tol_reads_one(self):
+        # the l = 0 ratio is 1 + 5e-10, a sum error the input check accepts
+        assert vidal_probability([0.5 + 2.5e-10] * 2, [0.5, 0.5]) == 1.0
 
     def test_batch_rows_equal_1d_calls(self, rng):
         beta = np.zeros((3, 8))
@@ -244,6 +251,41 @@ class TestTTransformDecompose:
             assert np.allclose(mat @ beta, alpha, atol=1e-10)
 
 
+    @pytest.mark.parametrize("alpha, beta", [
+        # the entry over its target is the last one: no k > j exists
+        ([0.5, 0.5 - 5e-13], [0.5, 0.5]),
+        # over at j = 2 with nothing short after it
+        ([0.5, 0.5, 0.0, 0.0], [0.5, 0.5 - 8e-13, 4e-13, 4e-13]),
+    ])
+    def test_majorized_within_unit_tol(self, alpha, beta):
+        assert is_majorized(alpha, beta)
+        assert t_transform_decompose(alpha, beta) == []
+
+    @settings(max_examples=300)
+    @given(
+        d=st.integers(2, 8),
+        n=st.integers(0, 8),
+        log_eps=st.floats(-14.0, np.log10(3e-12)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_accepted_pair_decomposes(self, d, n, log_eps, seed):
+        # alpha a few T-transforms from beta, moved by rounding-sized noise
+        rng = np.random.default_rng(seed)
+        beta = random_schmidt_vector(rng, d)
+        mix = np.eye(d)
+        for _ in range(n):
+            j, k = sorted(rng.choice(d, size=2, replace=False))
+            mix = expand_ttransform(TTransform(j, k, rng.random()), d) @ mix
+        alpha = np.sort(mix @ beta + rng.normal(size=d) * 10**log_eps)[::-1]
+        assume(alpha.min() >= -1e-12 and is_majorized(alpha, beta))
+        ts = t_transform_decompose(alpha, beta)
+        assert len(ts) <= d - 1 and all(0.0 <= t.t <= 1.0 for t in ts)
+        mat = np.eye(d)
+        for t in ts:
+            mat = expand_ttransform(t, d) @ mat
+        assert abs(mat @ beta - alpha).max() <= 1e-10
+
+
 class TestGroupTTransforms:
     def _chain(self, rng, d, n):
         ts = []
@@ -345,6 +387,10 @@ class TestStepTerms:
     @example(d=3, pair_frac=0.0, t=0.5 + 1e-15, seed=2)
     @example(d=8, pair_frac=1.0, t=1.0 - 5e-14, seed=3)
     @example(d=7, pair_frac=0.5, t=1e-16, seed=4)
+    # t below the cutoff, but the fixed diagonal's 1 - (1 - t) = 1.0003e-13
+    # is not: the identity term stays
+    @example(d=3, pair_frac=0.0, t=float(np.nextafter(1e-13, 0)), seed=5)
+    @example(d=5, pair_frac=0.0, t=float(np.nextafter(1e-13, 0)), seed=6)
     def test_equals_birkhoff_of_step_matrix(self, d, pair_frac, t, seed):
         order = np.random.default_rng(seed).permutation(d)
         n_pairs = 1 + int(pair_frac * (d // 2 - 1))

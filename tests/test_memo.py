@@ -212,7 +212,7 @@ class TestCatalystMemo:
         src, tgt = inputs["nec"]
         first = find_catalyst(src, tgt)
         assert find_catalyst(src.copy(), tgt.copy()) is first
-        assert find_catalyst(src, tgt, 0.01) is not first
+        assert find_catalyst(src, PHI_PLUS) is not first
 
     def test_cold_search_equals_memoized(self, inputs):
         warm = find_catalyst(*inputs["nec"])
@@ -246,14 +246,14 @@ class TestCatalystMemo:
         for _ in range(2):
             with pytest.raises(ValueError, match="norm"):
                 find_catalyst(2.0 * src, tgt)
-            with pytest.raises(ValueError, match="resolution"):
-                find_catalyst(src, tgt, 0)
+            with pytest.raises(ValueError, match="equal halves"):
+                find_catalyst(src, np.ones(8, dtype=complex) / np.sqrt(8))
         assert find_catalyst.cache_info().currsize == 0
 
     def test_memo_holds_at_most_its_bound(self, inputs):
         src, tgt = inputs["nec"]
         for k in range(_MEMO_SIZE + 4):
-            find_catalyst(src, tgt, 0.5 / (k + 1))
+            find_catalyst(other_source(src, seed=k), tgt)
         info = find_catalyst.cache_info()
         assert info.misses == _MEMO_SIZE + 4
         assert info.currsize == _MEMO_SIZE

@@ -368,9 +368,10 @@ class TestPinTol:
 
 
 PACKAGE = Path(qmath.__file__).parent
-# Small float literals that are not tolerances: (module, function, value).
+# Small float literals that are not tolerances: (module, function or None at
+# module level, value).
 ALLOWED = {
-    ("protocols.py", "find_catalyst", 1e-4): "default catalyst grid resolution, a search parameter",
+    ("protocols.py", None, 1e-4): "step of the catalyst grid, a search parameter",
     ("cli.py", "_write_svg", 1e-6): "least height of the infidelity plot's y axis",
 }
 
