@@ -19,6 +19,7 @@ files. Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -204,8 +205,6 @@ def _write_csv(stream, rows, axis_name, args):
 def _svg_panel(lines, title, series, x_label, y_range, offset_y):
     left, top, width, height = 70.0, offset_y + 30.0, 520.0, 220.0
     xs_all = [x for pts in series.values() for x, _ in pts]
-    if not xs_all:
-        return
     x_lo, x_hi = min(xs_all), max(xs_all)
     # axis values are rounded to 12 decimals, so distinct ones differ by
     # about 1e-12 or more, and both y ranges are at least 1e-6 high
@@ -295,6 +294,13 @@ def _write_svg(path, rows, axis_field, args):
         fh.write("\n".join(lines) + "\n")
 
 
+def _output(path: str):
+    """Context of the text stream ``--out`` names: stdout for -, else the file."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _cmd_sweep(args) -> int:
     protocols = _parse_protocols(args.protocols)
     if args.axis is None or args.range is None:
@@ -302,11 +308,8 @@ def _cmd_sweep(args) -> int:
     axis_field = AXIS_CHOICES[args.axis]
     values = _parse_range(args.range)
     rows = _sweep_rows(protocols, values, axis_field, args)
-    if args.out == "-":
-        _write_csv(sys.stdout, rows, args.axis, args)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, rows, args.axis, args)
+    with _output(args.out) as stream:
+        _write_csv(stream, rows, args.axis, args)
     if args.svg:
         _write_svg(args.svg, rows, axis_field, args)
     return 0
@@ -329,12 +332,8 @@ def _cmd_compile(args) -> int:
         context["catalyst_c1"] = float(catalyst.schmidt[0])
         context["catalyst_probability"] = catalyst.achieved_probability
     doc = {"context": context, "schedule": schedule_to_document(schedule)}
-    text = json.dumps(doc, indent=2)
-    if args.out == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with _output(args.out) as stream:
+        stream.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -229,9 +229,11 @@ def js_povm(terms, target) -> DiagonalPOVM:
     round's current vector is what the merged terms rebuild,
     c = sum_m q_m w_m; element m has diagonal q_m w_m / c on the support of
     c (its entries above UNIT_TOL) and 0 elsewhere, so the elements sum to
-    1 on the support by construction. Measuring a Schmidt-diagonal state with vector c gives
-    outcome m with probability q_m and post-measurement vector w_m; the
-    recorded correction permutation maps w_m back to ``target``.
+    1 on the support by construction, and each entry, a share of a sum of
+    nonnegative terms that includes it, rounds into [0, 1]. Measuring a
+    Schmidt-diagonal state with vector c gives outcome m with probability
+    q_m and post-measurement vector w_m; the recorded correction
+    permutation maps w_m back to ``target``.
     """
     target = np.asarray(target, dtype=float).reshape(-1)
     weights, perms = zip(*terms)
@@ -248,7 +250,7 @@ def js_povm(terms, target) -> DiagonalPOVM:
     elements = np.divide(
         parts, current, out=np.zeros_like(parts), where=current > UNIT_TOL
     )
-    return DiagonalPOVM(elements=elements.clip(0.0, 1.0), corrections=perms[first])
+    return DiagonalPOVM(elements=elements, corrections=perms[first])
 
 
 def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
@@ -430,7 +432,7 @@ def _pad_target(target: np.ndarray, d_l: int, d_r: int) -> np.ndarray:
         return target
     t_l = _equal_qubit_split(size)
     if d_l % t_l != 0 or d_r % (size // t_l) != 0:
-        raise ValueError("target dimensions do not embed in the source")
+        raise ValueError("target does not fit in the source registers")
     t_r = size // t_l
     mat = np.zeros((d_l, d_r), dtype=complex)
     rows = np.arange(t_l) * (d_l // t_l)
@@ -509,8 +511,6 @@ def _plan(source: bytes, target: bytes) -> tuple:
     s = np.frombuffer(source, dtype=complex)
     d_l = _equal_qubit_split(s.size)
     d_r = s.size // d_l
-    if len(target) > len(source):
-        raise ValueError("target does not fit in the source registers")
     pinned = _target_plan(target, d_l, d_r)
     beta_dec = pinned._replace(
         left_basis=pinned.left_basis.copy(), right_basis=pinned.right_basis.copy()
@@ -646,14 +646,10 @@ def schedule_to_document(schedule: ProtocolSchedule) -> dict:
         rounds.append(
             {
                 "party": "A",
-                "current": [float(x) for x in rnd.current],
-                "target": [float(x) for x in rnd.target_vector],
-                "elements": [
-                    [float(x) for x in el] for el in rnd.povm.elements
-                ],
-                "corrections": [
-                    [int(x) for x in p] for p in rnd.povm.corrections
-                ],
+                "current": rnd.current.tolist(),
+                "target": rnd.target_vector.tolist(),
+                "elements": [el.tolist() for el in rnd.povm.elements],
+                "corrections": [p.tolist() for p in rnd.povm.corrections],
                 "aux_count": rnd.embedding.aux_count,
                 "mcx_per_block": [b.mcx_count for b in rnd.synthesis.blocks],
                 "touched_qubits": [
@@ -664,11 +660,11 @@ def schedule_to_document(schedule: ProtocolSchedule) -> dict:
         )
     return {
         "group_size": schedule.group_size,
-        "source_vector": [float(x) for x in schedule.alpha],
-        "intermediate_vector": [float(x) for x in schedule.gamma],
-        "target_vector": [float(x) for x in schedule.beta],
+        "source_vector": schedule.alpha.tolist(),
+        "intermediate_vector": schedule.gamma.tolist(),
+        "target_vector": schedule.beta.tolist(),
         "success_probability": schedule.success_probability,
-        "final_filter": [float(x) for x in schedule.final_filter],
+        "final_filter": schedule.final_filter.tolist(),
         "rounds": rounds,
         "mcx_total": schedule.mcx_total,
     }

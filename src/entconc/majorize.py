@@ -236,30 +236,24 @@ def expand_step(step: tuple, d: int) -> np.ndarray:
 
 
 def step_terms(step: tuple, d: int) -> list[tuple[float, np.ndarray]]:
-    """Birkhoff terms of a step's matrix t I + (1-t) P, in closed form.
+    """Birkhoff terms of a step's matrix t I + (1-t) P.
 
-    ``birkhoff_decompose(expand_step(step, d))``, bit for bit: the peel
-    takes the larger of (t, I) and (1 - t, P) first, I on a tie within
-    ZERO_TOL, and then what is left. After P, the identity's weight is t
-    bounded by the fixed coordinates' remainder 1 - (1 - t), and the term
-    is kept when either of them reaches RESIDUAL_TOL; after I, the swap's
-    weight 1 - t is kept when it reaches RESIDUAL_TOL. The weights are
-    divided by their sum. Valid for t in [0, 1].
+    ``birkhoff_decompose(expand_step(step, d))``, bit for bit. Unless
+    t < 1 - t - ZERO_TOL, the peel takes (t, I) first, I winning a tie,
+    then (1 - t, P) when 1 - t reaches RESIDUAL_TOL; those terms, divided
+    by their sum, are built here in closed form. ``t_transform_decompose``
+    levels the smaller gap, so every step it makes has t >= 1/2; a step of
+    smaller t is handed to the peel.
     """
     t = step[0].t
+    if t < 1.0 - t - ZERO_TOL:
+        return birkhoff_decompose(expand_step(step, d))
     ident = np.arange(d)
     swap = ident.copy()
     for j, k, _ in step:
         swap[j], swap[k] = k, j
-    if t < 1.0 - t - ZERO_TOL:
-        # the fixed coordinates' diagonal keeps 1 - (1 - t), not t
-        rest = 1.0 - (1.0 - t) if 2 * len(step) < d else t
-        terms = [(1.0 - t, swap), (min(t, rest), ident)]
-        keep = max(t, rest) >= RESIDUAL_TOL
-    else:
-        terms = [(t, ident), (1.0 - t, swap)]
-        keep = 1.0 - t >= RESIDUAL_TOL
-    return _normalized(terms if keep else terms[:1])
+    terms = [(t, ident), (1.0 - t, swap)]
+    return _normalized(terms if 1.0 - t >= RESIDUAL_TOL else terms[:1])
 
 
 def group_ttransforms(steps: list, g: int, d: int) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ from .locc import (
     compile_schedule,
     run_schedule,
 )
-from .noise import PHI_PLUS, depolarize, surrogate
+from .noise import PHI_PLUS, _depolarize_qubits, surrogate
 from .qmath import (
     MIN_ACCEPTANCE,
     PAULI_I,
@@ -307,8 +307,8 @@ def _find_catalyst(source: bytes, target: bytes) -> CatalystSpec:
         if d * d != state.size:
             raise ValueError("state does not split into equal halves")
         vectors.append(schmidt_decompose(state, d, d).coefficients)
-    sigma, tau = vectors
-    joint = (np.einsum("i,cj->cij", v, _CATALYSTS).reshape(_C1.size, -1) for v in (sigma, tau))
+    # exact zeros add 0.0 to every tail sum: dropping them leaves each score
+    joint = (np.einsum("i,cj->cij", v[v > 0], _CATALYSTS).reshape(_C1.size, -1) for v in vectors)
     p = vidal_probability(*(np.sort(rows)[:, ::-1] for rows in joint))
     before = np.concatenate([[-1.0], np.maximum.accumulate(p)[:-1]])
     best = np.flatnonzero(p > before - UNIT_TOL)[-1]
@@ -415,7 +415,7 @@ def _mirrored_factors(rho_a, rho_b, gates_a, gates_b, p_g: float) -> tuple:
         ops = np.einsum("nab,ncd->nacbd", gates, gates.conj()).reshape(-1, 4, 4)
         out = ops @ rho @ ops.conj().transpose(0, 2, 1)
         if p_g > 0:
-            out = depolarize(depolarize(out, p_g, qubit=0), p_g, qubit=1)
+            out = _depolarize_qubits(out, p_g, (0, 1))
         mirrored.append(out)
     side_a, side_b = mirrored
     return side_a, (side_b.reshape(-1, 16) @ _ACCEPT_MAP).reshape(-1, 3, 4, 4)
@@ -481,18 +481,15 @@ def optimize_distillation(
     return DistillationPlan((CLIFFORDS[i], CLIFFORDS[j]), MEASUREMENT_BASES[k], index=best)
 
 
-def result_to_document(result: ProtocolResult, params: dict | None = None) -> dict:
+def result_to_document(result: ProtocolResult) -> dict:
     """JSON-ready dictionary of a protocol result."""
 
     def _mat(m):
         if m is None:
             return None
-        return {
-            "real": [[float(x) for x in row] for row in np.real(m)],
-            "imag": [[float(x) for x in row] for row in np.imag(m)],
-        }
+        return {"real": np.real(m).tolist(), "imag": np.imag(m).tolist()}
 
-    doc = {
+    return {
         "success_probability": result.success_probability,
         "output_fidelity": result.output_fidelity,
         "infidelity": result.infidelity,
@@ -504,6 +501,3 @@ def result_to_document(result: ProtocolResult, params: dict | None = None) -> di
         "catalyst_fidelity_before": result.catalyst_fidelity_before,
         "catalyst_fidelity_after": result.catalyst_fidelity_after,
     }
-    if params is not None:
-        doc["params"] = dict(params)
-    return doc

@@ -27,7 +27,8 @@ that fails when the entry is scaled by 10 or by 0.1
 ZERO_TOL = 1e-15
     Separates a zero entry of a Birkhoff peel from a positive one, and
     bottlenecks that tie from ones that differ (``majorize``: the peel,
-    both matchings, ``step_terms``). Derived: about 4.5 eps, the rounding
+    both matchings, and the t vs 1 - t tie that sends a step of
+    ``step_terms`` to its closed form). Derived: about 4.5 eps, the rounding
     of the one subtraction x - q that leaves an entry. Test: TestZeroTol.
 WEIGHT_TOL = 1e-14
     Separates a zero weight from a positive one: a target's Schmidt
@@ -40,8 +41,8 @@ WEIGHT_TOL = 1e-14
     state), rounded up. Test: TestWeightTol.
 RESIDUAL_TOL = 1e-13
     Separates a greedy decomposition that is done from one that is not: the
-    T-transform chain has reached its target, the Birkhoff peel and
-    ``step_terms`` stop. ``birkhoff_decompose`` accepts row and column sums
+    T-transform chain has reached its target, the Birkhoff peel stops, and
+    ``step_terms``' closed form drops the swap term. ``birkhoff_decompose`` accepts row and column sums
     within RESIDUAL_TOL / (2d) of 1, and entries down to minus that: by
     Koenig's theorem a sum error delta leaves at most 2 d delta in one entry
     once no positive matching remains, which must fall below the stop (the

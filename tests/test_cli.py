@@ -318,6 +318,19 @@ class TestCompile:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+class TestOutput:
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--protocols", "nec,cec", "--axis", "pd", "--range", "0:0.02:0.01", "--a", "0.1"],
+        ["compile", "--protocol", "cec", "--a", "0.1", "--pd", "0.05"],
+    ], ids=["sweep-csv", "compile-json"])
+    def test_stdout_and_file_get_the_same_bytes(self, tmp_path, capsysbinary, args):
+        path = tmp_path / "out"
+        assert main(args + ["--out", "-"]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(args + ["--out", str(path)]) == 0
+        assert stdout and path.read_bytes() == stdout
+
+
 class TestReport:
     def test_single_row_echo(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

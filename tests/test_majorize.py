@@ -36,7 +36,8 @@ from entconc.majorize import (
     expand_ttransform,
     permutation_matrix,
 )
-from entconc.protocols import cec_planning_states
+from entconc.protocols import cec_planning_states, find_catalyst, nec_planning_states
+from entconc.qmath import ZERO_TOL
 
 
 def random_majorized_pair(rng, d):
@@ -387,8 +388,8 @@ class TestStepTerms:
     @example(d=3, pair_frac=0.0, t=0.5 + 1e-15, seed=2)
     @example(d=8, pair_frac=1.0, t=1.0 - 5e-14, seed=3)
     @example(d=7, pair_frac=0.5, t=1e-16, seed=4)
-    # t below the cutoff, but the fixed diagonal's 1 - (1 - t) = 1.0003e-13
-    # is not: the identity term stays
+    # t below 1/2 goes to the peel: t is below the cutoff, but the fixed
+    # diagonal's 1 - (1 - t) = 1.0003e-13 is not, so the identity term stays
     @example(d=3, pair_frac=0.0, t=float(np.nextafter(1e-13, 0)), seed=5)
     @example(d=5, pair_frac=0.0, t=float(np.nextafter(1e-13, 0)), seed=6)
     def test_equals_birkhoff_of_step_matrix(self, d, pair_frac, t, seed):
@@ -410,6 +411,37 @@ class TestStepTerms:
         (q0, p0), (q1, p1) = step_terms(step, 5)
         assert (q0, q1) == (0.7 / (0.7 + (1.0 - 0.7)), (1.0 - 0.7) / (0.7 + (1.0 - 0.7)))
         assert list(p0) == [0, 1, 2, 3, 4] and list(p1) == [2, 3, 0, 1, 4]
+
+
+class TestCompiledChainSteps:
+    """Every step a compile folds has t >= 1/2, so ``step_terms`` takes its closed form.
+
+    ``t_transform_decompose`` levels the smaller gap: with a_j >= a_k the
+    gap delta is at most (c_j - c_k) / 2, so t = 1 - delta / (c_j - c_k)
+    is at least 1/2, within the ZERO_TOL tie ``step_terms`` grants.
+    """
+
+    @given(
+        kind=st.sampled_from(["nec", "cec", "random4", "random8"]),
+        g=st.integers(1, 3),
+        a=st.floats(0.0, 0.5),
+        p_d=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="cec", g=1, a=0.1, p_d=0.05, seed=0)
+    def test_every_transform_has_t_at_least_half(self, kind, g, a, p_d, seed):
+        rho = prepare_state(NoiseParams(a=a, p_d=p_d))
+        if kind == "nec":
+            planning = nec_planning_states(rho, rho)
+        elif kind == "cec":
+            spec = find_catalyst(*nec_planning_states(rho, rho))
+            planning = cec_planning_states(rho, rho, spec.state)
+        else:
+            dim = 16 if kind == "random4" else 64
+            planning = (random_pure_state(np.random.default_rng(seed), dim), PHI_PLUS)
+        schedule = compile_schedule(*planning, g)
+        for tt in t_transform_decompose(schedule.alpha, schedule.gamma):
+            assert not tt.t < 1.0 - tt.t - ZERO_TOL, tt
 
 
 class TestBirkhoffDecompose:

@@ -21,6 +21,7 @@ from entconc import (
     CatalystSpec,
     DistillationPlan,
     ProtocolResult,
+    assert_density_matrix,
     catalyst_from_schmidt,
     compile_schedule,
     dejmps_plan,
@@ -668,7 +669,7 @@ class TestResultDocument:
     def test_document_roundtrips_to_json(self):
         rho = pure_pair(0.75)
         res = run_nec(rho, rho)
-        doc = result_to_document(res, params={"a": 0.0, "p_d": 0.0, "g": 1})
+        doc = result_to_document(res) | {"params": {"a": 0.0, "p_d": 0.0, "g": 1}}
         blob = json.loads(json.dumps(doc))
         assert abs(blob["success_probability"] - 0.875) < 1e-9
         assert blob["catalyst_post"] is None
@@ -682,3 +683,76 @@ class TestResultDocument:
         doc = result_to_document(res)
         assert doc["catalyst_fidelity_after"] < 1.0
         assert len(doc["catalyst_post"]["real"]) == 4
+
+
+UNIT_OR_ZERO = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+def converted(run, *args):
+    """``run(*args)``, or None where the rank rule rejects the conversion."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        assert "target Schmidt rank exceeds the source rank" in str(exc)
+        return None
+
+
+def run_every_protocol(rho, g, p_g):
+    """NEC, CEC, both reuse modes and distillation at one point, by name.
+
+    A conversion the rank rule rejects (a pair with a product surrogate)
+    maps to None; any other error propagates.
+    """
+    spec = find_catalyst(*protocols.nec_planning_states(rho, rho))
+    cec = converted(run_cec, rho, rho, spec, g, p_g)
+    out = {"nec": converted(run_nec, rho, rho, g, p_g), "cec": cec}
+    if cec is not None and cec.success_probability > 0:
+        out["reuse"] = reuse_catalyst(cec, rho, rho, p_g)
+        out["recompiled"] = reuse_catalyst(cec, rho, rho, p_g, recompile_from_state=True)
+    plan = optimize_distillation(rho, rho, p_g)
+    out["distillation"] = run_distillation(rho, rho, plan, p_g)
+    return spec, out
+
+
+def result_bytes(result):
+    if result is None:
+        return None
+    post = None if result.catalyst_post is None else result.catalyst_post.tobytes()
+    return json.dumps(result_to_document(result)), result.output_state.tobytes(), post
+
+
+class TestProtocolProperties:
+    """Every protocol, at any (a, p_d, p_g, g), gives valid and reproducible results."""
+
+    @pytest.mark.filterwarnings("ignore:top eigenvalue degenerate:RuntimeWarning")
+    @given(
+        a=UNIT_OR_ZERO,
+        p_d=UNIT_OR_ZERO,
+        p_g=st.one_of(st.just(0.0), st.floats(1e-5, 1.0)),
+        g=st.integers(1, 3),
+    )
+    @example(a=0.1, p_d=0.05, p_g=0.01, g=2)
+    @example(a=0.1, p_d=0.8, p_g=0.0, g=1)
+    @example(a=0.0, p_d=1.0, p_g=1.0, g=3)
+    def test_outputs_valid_and_cold_rerun_equal(self, a, p_d, p_g, g):
+        rho = prepare_state(NoiseParams(a=a, p_d=p_d))
+        run_every_protocol(rho, g, p_g)
+        spec, warm = run_every_protocol(rho, g, p_g)
+        assert 0.0 <= spec.achieved_probability <= 1.0
+        for result in filter(None, warm.values()):
+            numbers = (
+                result.success_probability, result.output_fidelity,
+                result.catalyst_fidelity_before, result.catalyst_fidelity_after,
+            )
+            assert all(0.0 <= x <= 1.0 for x in numbers if x is not None)
+            if result.success_probability > 0:
+                assert_density_matrix(result.output_state)
+                if result.catalyst_post is not None:
+                    assert_density_matrix(result.catalyst_post)
+        compile_schedule.cache_clear()
+        find_catalyst.cache_clear()
+        cold_spec, cold = run_every_protocol(rho, g, p_g)
+        assert cold_spec.schmidt.tobytes() == spec.schmidt.tobytes()
+        assert cold.keys() == warm.keys()
+        for name in warm:
+            assert result_bytes(cold[name]) == result_bytes(warm[name]), name
