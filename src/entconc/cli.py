@@ -58,7 +58,7 @@ COLUMNS = (
     "mcx_total",
 )
 PROTOCOL_CHOICES = ("nec", "cec", "catalyst-reuse", "distillation")
-AXIS_CHOICES = {"a": "a", "pd": "p_d", "p_d": "p_d", "pg": "p_g", "p_g": "p_g"}
+AXIS_CHOICES = {"a": "a", "pd": "p_d", "pg": "p_g"}
 _COLORS = {
     "nec": "#1f77b4",
     "cec": "#d62728",

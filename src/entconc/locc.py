@@ -35,8 +35,8 @@ from .majorize import (
 )
 from .noise import _depolarize_qubits
 from .qmath import (
-    STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, _check_probability, _dims_for, _fix_degenerate_gauge,
-    clip_unit, schmidt_decompose, tensor,
+    STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, _are_permutations, _check_probability, _dims_for,
+    _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor,
 )
 
 # Plans kept by each planning memo (compile_schedule, find_catalyst): a
@@ -55,13 +55,7 @@ def _read_only(*arrays) -> None:
         a.setflags(write=False)
 
 
-def _are_permutations(perms, d: int) -> bool:
-    """True iff each of ``perms`` has shape (d,) and its raw values sort to range(d)."""
-    shaped = all(np.shape(p) == (d,) for p in perms)
-    return shaped and (np.sort(perms, axis=-1) == np.arange(d)).all()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalPOVM:
     """Diagonal measurement with classical correction permutations.
 
@@ -79,7 +73,7 @@ class DiagonalPOVM:
 
     elements: tuple
     corrections: tuple
-    support: np.ndarray = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -101,7 +95,7 @@ class DiagonalPOVM:
         object.__setattr__(self, "support", on)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingUnitary:
     """Block-diagonal dilation of a diagonal POVM.
 
@@ -143,7 +137,7 @@ class SynthesisReport:
         return sum(b.mcx_count for b in self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleRound:
     """One communication round: measurement, dilation, synthesis, frames."""
 
@@ -179,7 +173,7 @@ class ScheduleRound:
         return relabel, rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolSchedule:
     """Executable conversion plan in the source state's Schmidt frame.
 
@@ -522,8 +516,7 @@ def _plan(source: bytes, target: bytes) -> tuple:
         np.sqrt(beta_dec.coefficients),
         beta_dec.left_basis,
         beta_dec.right_basis,
-        alpha_dec.left_basis,
-        alpha_dec.right_basis,
+        (alpha_dec.left_basis, alpha_dec.right_basis),
     )
     alpha, beta = alpha_dec.coefficients, beta_dec.coefficients
     r = vidal_probability(alpha, beta)

@@ -150,11 +150,6 @@ def _vidal_gamma(a: np.ndarray, b: np.ndarray, r) -> np.ndarray:
     return gamma / gamma.sum()
 
 
-def expand_ttransform(tt: TTransform, d: int) -> np.ndarray:
-    """Expand a T-transform to its d x d doubly-stochastic matrix."""
-    return expand_step((tt,), d)
-
-
 def t_transform_decompose(alpha, beta) -> list[TTransform]:
     """Greedy chain of at most d-1 T-transforms carrying beta to alpha.
 
@@ -195,7 +190,7 @@ def build_doubly_stochastic(alpha, beta) -> np.ndarray:
     d = a.size
     mat = np.eye(d)
     for tt in t_transform_decompose(a, b):
-        mat = expand_ttransform(tt, d) @ mat
+        mat = expand_step((tt,), d) @ mat
     return mat
 
 
@@ -463,11 +458,3 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     if matchings is None:
         return _peel(flat, d, lambda f: _lex_bottleneck_matching(np.reshape(f, (d, d))))
     return _peel(flat, d, _first_bottleneck(matchings, d))
-
-
-def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    """Matrix of the permutation index array: (P v)[i] = v[perm[i]]."""
-    d = len(perm)
-    p = np.zeros((d, d))
-    p[np.arange(d), perm] = 1.0
-    return p

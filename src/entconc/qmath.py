@@ -171,6 +171,12 @@ def _dims_for(size: int) -> tuple[int, ...]:
     return (2,) * n
 
 
+def _are_permutations(perms, d: int) -> bool:
+    """True iff each of ``perms`` has shape (d,) and its raw values sort to range(d)."""
+    shaped = all(np.shape(p) == (d,) for p in perms)
+    return shaped and (np.sort(perms, axis=-1) == np.arange(d)).all()
+
+
 def _check_probability(value, name: str) -> None:
     """Raise ValueError unless ``value`` lies in [0, 1]; a NaN fails."""
     if not 0.0 <= value <= 1.0:
@@ -244,14 +250,15 @@ def permute_subsystems(state: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     """Reorder the qubits of a vector or density matrix.
 
     ``perm[new_position] = old_position``: the qubit found at ``perm[i]``
-    in the input becomes qubit ``i`` of the output.
+    in the input becomes qubit ``i`` of the output. ``perm`` is checked
+    as given, before any cast to int: [1.7, 0.2] raises ValueError.
     """
     state = np.asarray(state, dtype=complex)
     dims = _dims_for(state.shape[0])
     n = len(dims)
-    perm = list(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
+    if not _are_permutations([perm], n):
         raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+    perm = [int(p) for p in perm]
     if state.ndim == 1:
         t = state.reshape(dims).transpose(perm)
         return t.reshape(-1)
@@ -298,7 +305,7 @@ def _canonical_span(basis: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _pin_block(basis: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, int]:
+def _pin_block(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Unitary W that brings the columns of ``basis @ W`` closest to ``reference``.
 
     W is the polar factor of basis^dagger reference, which maximizes
@@ -309,7 +316,7 @@ def _pin_block(basis: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, in
     span of ``basis``; it is deterministic, and continuous away from the
     thresholds: the matched rank flips where an overlap singular value
     crosses PIN_TOL, and ``_canonical_span`` switches axes where a
-    projection norm does. Returns W and the matched rank.
+    projection norm does.
     """
     u, s, vh = np.linalg.svd(basis.conj().T @ reference)
     r = int(np.count_nonzero(s > PIN_TOL))
@@ -318,7 +325,7 @@ def _pin_block(basis: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, in
         leftover = _canonical_span(basis @ u[:, r:])
         unmatched = _canonical_span(vh[r:].conj().T)
         w = w + u[:, r:] @ (leftover @ unmatched.conj().T) @ vh[r:]
-    return w, r
+    return w
 
 
 def _gauge_blocks(s: np.ndarray) -> list[tuple[int, int]]:
@@ -344,59 +351,48 @@ def _fix_degenerate_gauge(
     s: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
-    ref_left: np.ndarray | None = None,
-    ref_right: np.ndarray | None = None,
-) -> list[tuple[int, int, int]]:
-    """Pin the SVD bases on blocks of (numerically) equal singular values.
+    reference: tuple | None = None,
+) -> None:
+    """Pin the SVD bases in place on blocks of (numerically) equal singular values.
 
     Equal singular values leave the bases free up to a shared unitary W on
     the block (left -> left W, right -> right conj(W)); a single value
     leaves a phase. LAPACK's choice jumps under ulp-level input changes.
     Each block is rotated in place so its left columns come as close as
-    possible to the same columns of ``ref_left`` (the polar-factor pin of
-    ``_pin_block``); the reference defaults to the identity, the
-    computational basis. All single-value blocks are pinned in one pass by
-    their 1x1 polar factor z/|z|, z the overlap of the column with its
-    reference column; one with |z| <= PIN_TOL, and every larger block, goes
-    through ``_pin_block``. Columns past the last nonzero singular value
-    carry no amplitude, so there the left and right bases are pinned
-    independently, to ``ref_left`` and ``ref_right``. Rank-deficient
-    overlaps are completed from the coordinate axes, so the gauge is
-    deterministic, and continuous in the input away from PIN_TOL.
-
-    Returns (start, stop, matched rank) of every pin: the blocks in order,
-    then the zero columns of ``left`` and of ``right`` if there are any.
+    possible to the same columns of ref_left, from ``reference`` =
+    (ref_left, ref_right) (the polar-factor pin of ``_pin_block``); the
+    reference defaults to the identity, the computational basis. All
+    single-value blocks are pinned in one pass by their 1x1 polar factor
+    z/|z|, z the overlap of the column with its reference column; one with
+    |z| <= PIN_TOL, and every larger block, goes through ``_pin_block``.
+    Columns past the last nonzero singular value carry no amplitude, so
+    there the left and right bases are pinned independently, to ref_left
+    and ref_right. Rank-deficient overlaps are completed from the
+    coordinate axes, so the gauge is deterministic, and continuous in the
+    input away from PIN_TOL.
     """
-    if ref_left is None:
-        ref_left = np.eye(left.shape[0])
-    if ref_right is None:
-        ref_right = np.eye(right.shape[0])
+    ref_left, ref_right = reference or (np.eye(left.shape[0]), np.eye(right.shape[0]))
     blocks = _gauge_blocks(s)
     singles = [i for i, j in blocks if j == i + 1]
-    rank = {}
+    pinned = set()
     if singles:
         z = np.vecdot(left[:, singles], ref_left[:, singles], axis=0)
         mag = np.abs(z)
-        pinned = mag > PIN_TOL
-        phase = np.divide(z, mag, out=np.ones_like(z), where=pinned)
+        matched = mag > PIN_TOL
+        phase = np.divide(z, mag, out=np.ones_like(z), where=matched)
         left[:, singles] *= phase
         right[:, singles] *= phase.conj()
-        rank = dict(zip(singles, pinned.tolist()))
-    pins = []
+        pinned = {i for i, ok in zip(singles, matched.tolist()) if ok}
     for i, j in blocks:
-        r = int(rank.get(i, 0))
-        if not r:
-            w, r = _pin_block(left[:, i:j], ref_left[:, i:j])
+        if i not in pinned:
+            w = _pin_block(left[:, i:j], ref_left[:, i:j])
             left[:, i:j] = left[:, i:j] @ w
             right[:, i:j] = right[:, i:j] @ w.conj()
-        pins.append((i, j, r))
     nonzero = blocks[-1][1] if blocks else 0
     for basis, ref in ((left, ref_left), (right, ref_right)):
         if nonzero < basis.shape[1]:
-            w, r = _pin_block(basis[:, nonzero:], ref[:, nonzero:])
+            w = _pin_block(basis[:, nonzero:], ref[:, nonzero:])
             basis[:, nonzero:] = basis[:, nonzero:] @ w
-            pins.append((nonzero, basis.shape[1], r))
-    return pins
 
 
 def schmidt_decompose(
@@ -422,7 +418,7 @@ def schmidt_decompose(
     u, s, vh = np.linalg.svd(m)
     # numpy returns singular values descending already
     left, right = u.copy(), vh.T.copy()
-    _fix_degenerate_gauge(s, left, right, *(reference or ()))
+    _fix_degenerate_gauge(s, left, right, reference)
     coeffs = s**2
     coeffs = coeffs / coeffs.sum()
     return SchmidtDecomposition(coeffs, left, right)

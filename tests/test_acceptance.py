@@ -37,7 +37,7 @@ from entconc import (
     vidal_probability,
 )
 from entconc.locc import ScheduleRound
-from entconc.majorize import TTransform, expand_ttransform, permutation_matrix
+from entconc.majorize import TTransform, expand_step
 from entconc.protocols import cec_planning_states, nec_planning_states
 
 
@@ -55,8 +55,8 @@ def random_majorized_pair(rng, d):
     mix = np.eye(d)
     for _ in range(int(rng.integers(1, d + 2))):
         j, k = sorted(rng.choice(d, size=2, replace=False))
-        mix = expand_ttransform(TTransform(int(j), int(k), float(rng.random())),
-                                d) @ mix
+        mix = expand_step((TTransform(int(j), int(k), float(rng.random())),),
+                          d) @ mix
     alpha = np.sort(mix @ beta)[::-1]
     return alpha, beta
 
@@ -148,11 +148,11 @@ def test_criterion_04_decomposition_bounds(rng):
         dmat = build_doubly_stochastic(alpha, beta)
         prod = np.eye(d)
         for t in ts:
-            prod = expand_ttransform(t, d) @ prod
+            prod = expand_step((t,), d) @ prod
         worst_t = max(worst_t, float(np.max(np.abs(prod - dmat))))
         terms = birkhoff_decompose(dmat)
         assert len(terms) <= (d - 1) ** 2 + 1
-        rec = sum(w * permutation_matrix(p) for w, p in terms)
+        rec = sum(w * np.eye(d)[p] for w, p in terms)
         worst_b = max(worst_b, float(np.max(np.abs(rec - dmat))))
     elapsed = time.perf_counter() - start
     print(f"criterion 4: max T recon={worst_t:.2e} "

@@ -222,7 +222,8 @@ class TestSweep:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "option", [["--weights", "0,0,0"], ["--weights", "a,b,c"], ["--g", "0"]]
+        "option",
+        [["--weights", "0,0,0"], ["--weights", "a,b,c"], ["--g", "0"], ["--weights", "1,0"]],
     )
     def test_bad_option_usage_error(self, tmp_path, capsys, option):
         code = main([
@@ -242,6 +243,25 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("axis", ["p_d", "p_g"])
+    def test_only_documented_axis_names(self, tmp_path, capsys, axis):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", axis, "--range", "0:0.01:0.01",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_one_point_svg(self, tmp_path):
+        svg = tmp_path / "one.svg"
+        assert main([
+            "sweep", "--axis", "pd", "--range", "0.05:0.05:1", "--a", "0.1",
+            "--out", str(tmp_path / "one.csv"), "--svg", str(svg),
+        ]) == 0
+        text = svg.read_text()
+        # one x value: the axis spans it +- 0.5, and no line joins the points
+        assert text.count("<circle") == 2 and "<polyline" not in text
+        assert ">-0.45<" in text and ">0.55<" in text
 
     def test_invalid_pair_state_exits_3(self, tmp_path, monkeypatch, capsys):
         import entconc.cli as cli
@@ -366,6 +386,18 @@ class TestReport:
         path = tmp_path / "bad.csv"
         path.write_text("col1,col2\n1,2\n")
         assert main(["report", str(path)]) == 2
+
+    @pytest.mark.parametrize("body, what", [
+        ("# comment only\n", "no header"),
+        (",".join(COLUMNS) + "\nnec,0\n", "bad row"),
+        (",".join(COLUMNS) + "\nnec,x,0,0,1,1,1,0,,,8\n", "bad number"),
+        (",".join(COLUMNS) + "\n", "no rows"),
+    ])
+    def test_malformed_csv_error(self, tmp_path, capsys, body, what):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        assert main(["report", str(path)]) == 2
+        assert f"malformed CSV ({what})" in capsys.readouterr().err
 
     def test_report_consumes_sweep_output(self, tmp_path, capsys):
         out = tmp_path / "sw.csv"

@@ -20,6 +20,7 @@ from entconc import (
     execute_filter,
     execute_round,
     js_povm,
+    permute_subsystems,
     prepare_state,
     run_schedule,
     schedule_to_document,
@@ -27,7 +28,7 @@ from entconc import (
 )
 from entconc import majorize, qmath
 from entconc.locc import ScheduleRound
-from entconc.majorize import TTransform, birkhoff_decompose, expand_ttransform
+from entconc.majorize import TTransform, birkhoff_decompose, expand_step
 from entconc.protocols import (
     _parties,
     cec_planning_states,
@@ -236,6 +237,17 @@ class TestJsPovm:
         assert len(povm.elements) == 1
         assert np.allclose(povm.elements[0], [1.0, 1.0], atol=1e-12)
 
+    def test_merge_follows_a_chain(self):
+        # images 0.6e-12 apart: the third joins the second, which joined the
+        # first, though the first and third lie 1.2e-12 apart
+        e = 0.6e-12
+        x = (1.0 - 3 * e) / 3
+        terms = [(0.5, (0, 1, 2)), (0.3, (1, 0, 2)), (0.2, (2, 0, 1))]
+        povm = js_povm(terms, np.array([x + 2 * e, x + e, x]))
+        assert len(povm.elements) == 1
+        assert np.array_equal(povm.corrections[0], [0, 1, 2])
+        assert np.allclose(povm.elements[0], 1.0, atol=1e-15)
+
     def test_completeness_on_support(self, rng):
         d = 5
         beta = np.sort(rng.random(d))[::-1]
@@ -243,7 +255,7 @@ class TestJsPovm:
         mix = np.eye(d)
         for _ in range(3):
             j, k = sorted(rng.choice(d, size=2, replace=False))
-            mix = expand_ttransform(TTransform(int(j), int(k), rng.random()), d) @ mix
+            mix = expand_step((TTransform(int(j), int(k), rng.random()),), d) @ mix
         povm = js_povm(birkhoff_decompose(mix), beta)
         total = sum(np.asarray(e) for e in povm.elements)
         assert np.allclose(total, 1.0, atol=1e-10)
@@ -297,6 +309,10 @@ class TestDiagonalPovmValidation:
         a = np.array([0.1, 0.2, 0.3, 0.4])
         with pytest.raises(ValueError, match="permutation"):
             DiagonalPOVM(elements=[a, 1.0 - a], corrections=[np.arange(4), bad])
+
+    def test_entries_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            DiagonalPOVM(elements=[[1.5, 0.5], [-0.5, 0.5]], corrections=[[0, 1], [0, 1]])
 
     def test_zero_rows_allowed_off_support(self):
         povm = DiagonalPOVM(
@@ -665,6 +681,12 @@ class TestExecuteRound:
             branches = execute_round(state, rnd, p_g)
             assert abs(sum(w for w, _, _ in branches) - 1.0) < 1e-10
 
+    def test_state_size_must_match_registers(self):
+        dmat = 0.5 * np.eye(2) + 0.5 * swap2()
+        rnd = diag_round(js_povm(birkhoff_decompose(dmat), np.array([0.75, 0.25])))
+        with pytest.raises(ValueError, match="does not match the round's registers"):
+            execute_round(np.eye(6) / 6, rnd, p_g=0.0)
+
     def test_aux_must_start_in_zero(self):
         dmat = 0.5 * np.eye(2) + 0.5 * swap2()
         povm = js_povm(birkhoff_decompose(dmat), np.array([0.75, 0.25]))
@@ -727,11 +749,14 @@ def test_povm_and_correction_agree_on_permutations(perm, accepted):
     if accepted:
         DiagonalPOVM(elements=elements, corrections=[[0, 1], perm])
         assert np.array_equal(apply_correction(rho, perm), apply_correction(rho, [1, 0]))
+        assert np.array_equal(permute_subsystems(rho, perm), permute_subsystems(rho, [1, 0]))
         return
     with pytest.raises(ValueError, match="permutation"):
         DiagonalPOVM(elements=elements, corrections=[[0, 1], perm])
     with pytest.raises(ValueError, match="permutation"):
         apply_correction(rho, perm)
+    with pytest.raises(ValueError, match="permutation"):
+        permute_subsystems(rho, perm)
 
 
 class TestExecuteFilter:
@@ -754,6 +779,10 @@ class TestExecuteFilter:
         rho = np.eye(4) / 4
         with pytest.raises(ValueError):
             execute_filter(rho, np.array([1.2, 0.5]))
+
+    def test_rejects_size_not_dividing_the_state(self):
+        with pytest.raises(ValueError, match="does not divide the state dimension"):
+            execute_filter(np.eye(4) / 4, [1.0, 1.0, 1.0])
 
     def test_rejects_empty_filter(self):
         with pytest.raises(ValueError, match="filter needs at least one entry"):
@@ -864,6 +893,10 @@ class TestCompileSchedule:
         bell = schmidt_pair_state([0.5, 0.5])
         with pytest.raises(ValueError):
             compile_schedule(vec, bell)
+
+    def test_source_size_not_a_power_of_four(self):
+        with pytest.raises(ValueError, match="power of 4"):
+            compile_schedule(np.full(8, 8**-0.5), schmidt_pair_state([0.5, 0.5]))
 
     def test_invalid_group_size(self):
         bell = schmidt_pair_state([0.5, 0.5])

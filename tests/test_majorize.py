@@ -33,8 +33,6 @@ from entconc.majorize import (
     _lex_bottleneck_matching,
     _support_matchings,
     expand_step,
-    expand_ttransform,
-    permutation_matrix,
 )
 from entconc.protocols import cec_planning_states, find_catalyst, nec_planning_states
 from entconc.qmath import ZERO_TOL
@@ -47,7 +45,7 @@ def random_majorized_pair(rng, d):
     for _ in range(rng.integers(1, d + 2)):
         j, k = sorted(rng.choice(d, size=2, replace=False))
         t = rng.random()
-        mix = expand_ttransform(TTransform(j, k, t), d) @ mix
+        mix = expand_step((TTransform(j, k, t),), d) @ mix
     alpha = np.sort(mix @ beta)[::-1]
     return alpha, beta
 
@@ -92,6 +90,11 @@ class TestVidalProbability:
     def test_two_copy_instance(self):
         alpha = [0.5625, 0.1875, 0.1875, 0.0625]
         assert abs(vidal_probability(alpha, [0.5, 0.5, 0, 0]) - 0.875) < 1e-9
+
+    def test_shorter_source_reads_as_zero_padded(self):
+        p = vidal_probability([0.9, 0.1], [0.5, 0.5, 0.0])
+        assert p == pytest.approx(0.2, abs=1e-15)
+        assert p == vidal_probability([0.9, 0.1, 0.0], [0.5, 0.5, 0.0])
 
     def test_rank_deficiency_returns_zero(self):
         assert vidal_probability([1.0, 0.0], [0.5, 0.5]) == 0.0
@@ -237,7 +240,7 @@ class TestTTransformDecompose:
         assert len(ts) <= 3
         mat = np.eye(4)
         for t in ts:
-            mat = expand_ttransform(t, 4) @ mat
+            mat = expand_step((t,), 4) @ mat
         assert np.allclose(mat @ beta, alpha, atol=1e-10)
 
     def test_count_bound_random(self, rng):
@@ -248,7 +251,7 @@ class TestTTransformDecompose:
             assert len(ts) <= d - 1
             mat = np.eye(d)
             for t in ts:
-                mat = expand_ttransform(t, d) @ mat
+                mat = expand_step((t,), d) @ mat
             assert np.allclose(mat @ beta, alpha, atol=1e-10)
 
 
@@ -276,14 +279,14 @@ class TestTTransformDecompose:
         mix = np.eye(d)
         for _ in range(n):
             j, k = sorted(rng.choice(d, size=2, replace=False))
-            mix = expand_ttransform(TTransform(j, k, rng.random()), d) @ mix
+            mix = expand_step((TTransform(j, k, rng.random()),), d) @ mix
         alpha = np.sort(mix @ beta + rng.normal(size=d) * 10**log_eps)[::-1]
         assume(alpha.min() >= -1e-12 and is_majorized(alpha, beta))
         ts = t_transform_decompose(alpha, beta)
         assert len(ts) <= d - 1 and all(0.0 <= t.t <= 1.0 for t in ts)
         mat = np.eye(d)
         for t in ts:
-            mat = expand_ttransform(t, d) @ mat
+            mat = expand_step((t,), d) @ mat
         assert abs(mat @ beta - alpha).max() <= 1e-10
 
 
@@ -300,7 +303,7 @@ class TestGroupTTransforms:
         ts = self._chain(rng, d, 4)
         full = np.eye(d)
         for t in ts:
-            full = expand_ttransform(t, d) @ full
+            full = expand_step((t,), d) @ full
         steps = [(t,) for t in ts]
         ones = group_ttransforms(steps, 1, d)
         assert len(ones) == 4
@@ -336,7 +339,7 @@ class TestFoldTTransforms:
         steps = fold_ttransforms(ts)
         assert steps == [tuple(ts)]
         (mat,) = group_ttransforms(steps, 1, 4)
-        swap = permutation_matrix(np.array([2, 3, 0, 1]))
+        swap = np.eye(4)[[2, 3, 0, 1]]
         assert np.array_equal(mat, 0.5 * np.eye(4) + 0.5 * swap)
         assert len(birkhoff_decompose(mat)) == 2
 
@@ -356,7 +359,7 @@ class TestFoldTTransforms:
               TTransform(0, 1, 0.8)]
         full = np.eye(d)
         for t in ts:
-            full = expand_ttransform(t, d) @ full
+            full = expand_step((t,), d) @ full
         steps = fold_ttransforms(ts)
         assert [len(s) for s in steps] == [3, 1]
         for g in (1, 2):
@@ -469,16 +472,16 @@ class TestBirkhoffDecompose:
         mat = np.eye(d)
         for _ in range(3):
             j, k = sorted(rng.choice(d, size=2, replace=False))
-            mat = expand_ttransform(TTransform(int(j), int(k), rng.random()), d) @ mat
+            mat = expand_step((TTransform(int(j), int(k), rng.random()),), d) @ mat
         terms = birkhoff_decompose(mat)
         assert len(terms) <= (d - 1) ** 2 + 1
-        rec = sum(w * permutation_matrix(p) for w, p in terms)
+        rec = sum(w * np.eye(d)[p] for w, p in terms)
         assert np.allclose(rec, mat, atol=1e-10)
 
     def test_random_reconstruction(self, rng):
         for _ in range(100):
             d = int(rng.integers(2, 7))
-            mats = [permutation_matrix(rng.permutation(d)) for _ in range(d)]
+            mats = [np.eye(d)[rng.permutation(d)] for _ in range(d)]
             w = rng.random(d) + 0.05
             w = w / w.sum()
             dmat = sum(wi * mi for wi, mi in zip(w, mats))
@@ -486,12 +489,12 @@ class TestBirkhoffDecompose:
             assert len(terms) <= (d - 1) ** 2 + 1
             assert abs(sum(q for q, _ in terms) - 1.0) < 1e-10
             assert all(q > 0 for q, _ in terms)
-            rec = sum(q * permutation_matrix(p) for q, p in terms)
+            rec = sum(q * np.eye(d)[p] for q, p in terms)
             assert np.allclose(rec, dmat, atol=1e-10)
 
     def test_deterministic(self, rng):
         d = 5
-        mats = [permutation_matrix(rng.permutation(d)) for _ in range(4)]
+        mats = [np.eye(d)[rng.permutation(d)] for _ in range(4)]
         w = np.array([0.4, 0.3, 0.2, 0.1])
         dmat = sum(wi * mi for wi, mi in zip(w, mats))
         a = birkhoff_decompose(dmat)
@@ -693,7 +696,7 @@ class TestCompiledRoundTerms:
 
 class TestExpandTTransform:
     def test_matrix_form(self):
-        mat = expand_ttransform(TTransform(0, 2, 0.75), 3)
+        mat = expand_step((TTransform(0, 2, 0.75),), 3)
         expected = np.array(
             [[0.75, 0.0, 0.25], [0.0, 1.0, 0.0], [0.25, 0.0, 0.75]]
         )

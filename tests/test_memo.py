@@ -117,6 +117,19 @@ class TestCompileMemo:
         assert document(schedule) == before
 
 
+class TestRecordIdentity:
+    def test_records_compare_and_hash_by_identity(self, inputs):
+        src, tgt = inputs["cec"]
+        cold = compile_schedule(src, tgt, 2)
+        compile_schedule.cache_clear()
+        warm = compile_schedule(src, tgt, 2)
+        assert compile_schedule(src, tgt, 2) is warm
+        c, w = cold.rounds[0], warm.rounds[0]
+        for a, b in [(cold, warm), (c, w), (c.povm, w.povm), (c.embedding, w.embedding)]:
+            assert a != b and a == a
+            assert len({a, b}) == 2
+
+
 @pytest.mark.parametrize("kind", KINDS)
 class TestSharedPlan:
     def test_prefix_runs_once_across_group_sizes(self, monkeypatch, inputs, kind):

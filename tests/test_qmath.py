@@ -230,18 +230,17 @@ def reference_pin_block(basis, reference):
     return w, r
 
 
-def reference_gauge(s, left, right, ref_left=None, ref_right=None):
+def reference_gauge(s, left, right, reference=None):
     """The block-by-block loop form of ``qmath._fix_degenerate_gauge``.
 
     Every block, single values included, is pinned by its own SVD. Returns
-    the same (start, stop, matched rank) record.
+    how many pins the one-pass form leaves to ``_pin_block``: every block
+    but a single value whose overlap is matched, and the zero columns of
+    each side.
     """
-    if ref_left is None:
-        ref_left = np.eye(left.shape[0])
-    if ref_right is None:
-        ref_right = np.eye(right.shape[0])
+    ref_left, ref_right = reference or (np.eye(left.shape[0]), np.eye(right.shape[0]))
     nonzero = int(np.sum(s >= qmath.DEGENERACY_TOL))
-    pins = []
+    calls = 0
     i = 0
     while i < nonzero:
         j = i + 1
@@ -250,14 +249,22 @@ def reference_gauge(s, left, right, ref_left=None, ref_right=None):
         w, r = reference_pin_block(left[:, i:j], ref_left[:, i:j])
         left[:, i:j] = left[:, i:j] @ w
         right[:, i:j] = right[:, i:j] @ w.conj()
-        pins.append((i, j, r))
+        calls += not (j == i + 1 and r == 1)
         i = j
     for basis, ref in ((left, ref_left), (right, ref_right)):
         if nonzero < basis.shape[1]:
-            w, r = reference_pin_block(basis[:, nonzero:], ref[:, nonzero:])
+            w, _ = reference_pin_block(basis[:, nonzero:], ref[:, nonzero:])
             basis[:, nonzero:] = basis[:, nonzero:] @ w
-            pins.append((nonzero, basis.shape[1], r))
-    return pins
+            calls += 1
+    return calls
+
+
+def counting_pin_blocks(monkeypatch):
+    """List that gets one entry per ``qmath._pin_block`` call from now on."""
+    calls = []
+    pin = qmath._pin_block
+    monkeypatch.setattr(qmath, "_pin_block", lambda *a: calls.append(1) or pin(*a))
+    return calls
 
 
 def random_unitary(rng, d):
@@ -306,7 +313,7 @@ def gauge_case(seed, d, pattern, reference):
     uu, s, vh = np.linalg.svd(psi / np.linalg.norm(psi))
     left, right = uu.copy(), vh.T.copy()
     if reference == "identity":
-        return s, left, right, ()
+        return s, left, right, None
     if reference == "random":
         return s, left, right, (random_unitary(rng, d), random_unitary(rng, d))
     factors = rng.uniform(0.3, 0.9, d) * np.where(rng.random(d) < 0.5, 1.0, 11.0 / 3.0)
@@ -329,22 +336,23 @@ class TestGaugeReference:
     @example(seed=1, d=8, pattern="product", reference="random")
     @example(seed=2, d=8, pattern="generic", reference="near_pin")
     def test_matches_loop(self, seed, d, pattern, reference):
-        s, left, right, refs = gauge_case(seed, d, pattern, reference)
+        s, left, right, ref = gauge_case(seed, d, pattern, reference)
         want_left, want_right = left.copy(), right.copy()
-        want = reference_gauge(s, want_left, want_right, *refs)
-        got = qmath._fix_degenerate_gauge(s, left, right, *refs)
-        assert got == want
+        want = reference_gauge(s, want_left, want_right, ref)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_pin_blocks(mp)
+            assert qmath._fix_degenerate_gauge(s, left, right, ref) is None
+        assert len(calls) == want
         assert np.max(np.abs(left - want_left)) <= 1e-13
         assert np.max(np.abs(right - want_right)) <= 1e-13
 
-    def test_near_pin_overlaps_take_both_paths(self):
+    def test_near_pin_overlaps_take_both_paths(self, monkeypatch):
         # the single-value pass pins overlaps above PIN_TOL and leaves the
-        # ones below to the canonical completion
-        ranks = set()
+        # ones below to the canonical completion: 8 single values a seed
+        calls = counting_pin_blocks(monkeypatch)
         for seed in range(20):
-            s, left, right, refs = gauge_case(seed, 8, "generic", "near_pin")
-            ranks |= {r for _, _, r in qmath._fix_degenerate_gauge(s, left, right, *refs)}
-        assert ranks == {0, 1}
+            qmath._fix_degenerate_gauge(*gauge_case(seed, 8, "generic", "near_pin"))
+        assert 0 < len(calls) < 20 * 8
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
     @example(seed=0, k=4)
@@ -536,6 +544,8 @@ class TestValidators:
             assert_density_matrix(np.eye(2))
         with pytest.raises(ValueError):
             assert_density_matrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+        with pytest.raises(ValueError, match="square"):
+            assert_density_matrix(np.full((2, 3), 0.5))
 
     @pytest.mark.parametrize("skew, ok", [(3e-6, False), (1e-13, True), (np.nan, False)])
     def test_hermiticity_bound_is_absolute(self, skew, ok):

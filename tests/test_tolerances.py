@@ -161,6 +161,14 @@ class TestUnitTol:
             with pytest.raises(ArithmeticError):
                 qmath.clip_unit(x, "p")
 
+    @pytest.mark.parametrize("x, ok", [(-0.5e-12, True), (-2e-12, False)])
+    def test_schmidt_entry_below_zero(self, x, ok):
+        if ok:
+            assert majorize._as_schmidt([1.0, x])[1] == x
+        else:
+            with pytest.raises(ValueError, match="negative entry"):
+                majorize._as_schmidt([1.0, x])
+
     # the source's rank counts coefficients above UNIT_TOL, the cut of the
     # compile's supports; (1 - 3c, 2c, c) needs its two smallest
     @pytest.mark.parametrize("c, reachable", [(0.5e-12, False), (2e-12, True)])
@@ -359,12 +367,16 @@ class TestPinTol:
         q = qmath._canonical_span(col)
         assert np.angle(q[0, 0]) == pytest.approx(-0.3 if first else -1.1)
 
+    # pinned by its own overlap, the column's first entry comes out real
+    # positive; left to the canonical completion, its second entry does
     @pytest.mark.parametrize("c, pinned", [(0.5e-8, False), (2e-8, True)])
     def test_single_value_pin(self, c, pinned):
         left = np.array([[c * 1j, -np.sqrt(1.0 - c * c)], [np.sqrt(1.0 - c * c), -c * 1j]])
         right = np.eye(2, dtype=complex)
-        pins = qmath._fix_degenerate_gauge(np.array([0.8, 0.6]), left, right)
-        assert pins[0] == (0, 1, int(pinned))
+        qmath._fix_degenerate_gauge(np.array([0.8, 0.6]), left, right)
+        real, turned = (0, 1) if pinned else (1, 0)
+        assert np.angle(left[real, 0]) == pytest.approx(0.0, abs=1e-12)
+        assert abs(np.angle(left[turned, 0])) == pytest.approx(np.pi / 2)
 
 
 PACKAGE = Path(qmath.__file__).parent
