@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -123,21 +124,24 @@ def _parse_group_size(text: str) -> int:
     return int(text)
 
 
-def _noise_params(args, axis_field: str | None = None, value: float | None = None):
-    """NoiseParams of the arguments.
+def _noise_params(args) -> NoiseParams:
+    """NoiseParams of the options as given, ``--a``, ``--pd`` and ``--pg`` included.
 
     The depolarizing weights are the squared coherent amplitudes; for the
     default amplitudes, NoiseParams' own exact defaults (1/3 each).
     """
     fields = {"a": args.a, "p_d": args.pd, "p_g": args.pg}
-    if axis_field is not None:
-        fields[axis_field] = value
     if args.weights != NoiseParams.coh_weights:
         depol = tuple(abs(w) ** 2 for w in args.weights)
         fields["coh_weights"] = args.weights
         fields["depol_weights"] = tuple(x / sum(depol) for x in depol)
+    return _usage_checked(NoiseParams, **fields)
+
+
+def _usage_checked(make, *args, **fields):
+    """``make(*args, **fields)``, with NoiseParams' ValueError raised as a UsageError."""
     try:
-        return NoiseParams(**fields)
+        return make(*args, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -172,8 +176,14 @@ def _fmt(value) -> str:
 
 
 def _sweep_rows(protocols, values, axis_field, args):
-    """CSV rows, protocol-major, of the protocols at each swept value."""
-    points = [_noise_params(args, axis_field, value) for value in values]
+    """CSV rows, protocol-major, of the protocols at each swept value.
+
+    The options are checked as given before the swept field replaces one,
+    so a bad value of the swept option is a usage error too.
+    """
+    base = _noise_params(args)
+    points = [_usage_checked(dataclasses.replace, base, **{axis_field: value})
+              for value in values]
     results = [_point_results(protocols, p, args.g, args.recompile_on_reuse) for p in points]
     rows = []
     for protocol in protocols:

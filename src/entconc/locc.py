@@ -17,7 +17,7 @@ B-data...] with the auxiliary register prepared in the all-zeros state.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from typing import NamedTuple
@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .majorize import (
+    _support_rule,
     _vidal_gamma,
     birkhoff_decompose,
     fold_ttransforms,
@@ -44,6 +45,10 @@ from .qmath import (
 # g = 1, 2, 3 plans six schedules.
 _MEMO_SIZE = 16
 
+# Synthesis reports kept, one per support and register shape: a compile of
+# NEC, CEC and random inputs at g = 1, 2, 3 meets about 25.
+_SYNTHESIS_MEMO_SIZE = 64
+
 
 def _input_bytes(state) -> bytes:
     """Memo key of a planning state: its flattened complex128 bytes."""
@@ -62,7 +67,8 @@ class DiagonalPOVM:
     ``elements`` holds the diagonals of the positive operators A_m as 1-D
     arrays; ``corrections`` holds one permutation index array per element,
     with (P v)[i] = v[perm[i]]. Both are stored as tuples, whatever
-    sequence is passed. On the support (positions where the
+    sequence is passed; 2-D arrays, as ``js_povm`` passes, are checked as
+    they are, with no restacking. On the support (positions where the
     diagonals sum to 1 within STRUCTURAL_TOL) the elements are complete;
     off-support positions carry 0 in every element and are routed to
     outcome 0 at execution time. ``support`` is the boolean mask of the
@@ -76,15 +82,16 @@ class DiagonalPOVM:
     support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "corrections", tuple(self.corrections))
+        els, perms = self.elements, self.corrections
+        object.__setattr__(self, "elements", tuple(els))
+        object.__setattr__(self, "corrections", tuple(perms))
         if len(self.elements) != len(self.corrections):
             raise ValueError("need one correction permutation per element")
-        els = np.asarray(self.elements, dtype=float)
+        els = np.asarray(els, dtype=float)
         if not els.size:
             raise ValueError("a POVM needs at least one element, of at least one entry")
         d = els.shape[-1]
-        if not _are_permutations(self.corrections, d):
+        if not _are_permutations(perms, d):
             raise ValueError("each correction must be a permutation of range(d)")
         if els.min() < -UNIT_TOL or els.max() > 1 + UNIT_TOL:
             raise ValueError("POVM diagonal entries must lie in [0, 1]")
@@ -270,8 +277,11 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     k = (m - 1).bit_length()
     ka = 2**k
     eye = np.eye(ka)
-    col = np.zeros((np.count_nonzero(on), ka))
-    col[:, :m] = np.sqrt(els[:, on].T)
+    if m == ka:
+        col = np.sqrt(els[:, on].T)
+    else:
+        col = np.zeros((np.count_nonzero(on), ka))
+        col[:, :m] = np.sqrt(els[:, on].T)
     v = -(col / np.sqrt(np.vecdot(col, col))[:, None])
     v[:, 0] += 1.0
     norm2 = np.vecdot(v, v)
@@ -296,10 +306,22 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     block is the identity exactly when it is off the support or the POVM
     has one outcome: on the support, ``embed_povm`` never builds the
     identity (the e_0 limit is diag(1, -1, 1, ...)).
+
+    The report depends only on the support, ``data_dim``, ``aux_count`` and
+    ``n_outcomes``, so it is memoized on them, the last
+    _SYNTHESIS_MEMO_SIZE kept: embeddings that agree there get the same
+    frozen report object. ``compile_schedule.cache_clear()`` empties it.
     """
-    touched = tuple(range(len(_dims_for(emb.data_dim)) + emb.aux_count))
-    per_block = 2 * (emb.n_outcomes - 1)
-    on = np.flatnonzero(emb.support).tolist() if emb.n_outcomes > 1 else []
+    return _synthesis_report(
+        np.asarray(emb.support, dtype=bool).tobytes(), emb.data_dim, emb.aux_count, emb.n_outcomes
+    )
+
+
+@lru_cache(maxsize=_SYNTHESIS_MEMO_SIZE)
+def _synthesis_report(support: bytes, data_dim: int, aux_count: int, n_outcomes: int):
+    touched = tuple(range(len(_dims_for(data_dim)) + aux_count))
+    per_block = 2 * (n_outcomes - 1)
+    on = np.flatnonzero(np.frombuffer(support, dtype=bool)).tolist() if n_outcomes > 1 else []
     # from a list: tuple() of a generator raised a long compile loop's peak RSS
     return SynthesisReport(tuple([SynthesisBlock(j, per_block, touched) for j in on]))
 
@@ -466,11 +488,18 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     a tuple. Everything up to the folded step chain does not depend on
     ``g`` and is kept in a second memo of the same bound, keyed on the input
     bytes alone, so the schedules of one input at several g share their
-    frames and vectors. A third memo of the same bound keeps the target's
-    identity-pinned Schmidt decomposition per target and register size,
-    shared by every source planned against that target. Code that patches
-    the compile path's internals must call ``compile_schedule.cache_clear()``
-    first; it empties all three memos.
+    frames and vectors. The rounds depend on g only through
+    min(g, number of steps), since one chunk then holds every step: a
+    larger g shares the rounds tuple and filter of the schedule at the
+    step count (at g = 1 for a chain of no steps), compiled through the
+    same memo, and differs from it only in ``group_size``. A third memo of
+    the same bound keeps the target's identity-pinned Schmidt
+    decomposition per target and register size, shared by every source
+    planned against that target. ``birkhoff_decompose`` keeps the
+    matchings of each support pattern and ``synthesize`` the report of
+    each support, so rounds of one structure share them. Code that
+    patches the compile path's internals must call
+    ``compile_schedule.cache_clear()`` first; it empties every memo.
     """
     g = operator.index(g)
     if g < 1:
@@ -529,6 +558,11 @@ def _plan(source: bytes, target: bytes) -> tuple:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     alpha_dec, beta_dec, r, gamma, steps = _plan(source, target)
+    # past the step count one chunk holds every step, so the rounds are those
+    # of g = len(steps), or of g = 1 for a chain of no steps
+    shared = min(g, max(len(steps), 1))
+    if shared != g:
+        return replace(_compile_schedule(source, target, shared), group_size=g)
     alpha, beta = alpha_dec.coefficients, beta_dec.coefficients
     d = alpha.size
     groups = group_ttransforms(steps, g, d)
@@ -573,6 +607,8 @@ def _clear_memos() -> None:
     _compile_schedule.cache_clear()
     _plan.cache_clear()
     _target_plan.cache_clear()
+    _support_rule.cache_clear()
+    _synthesis_report.cache_clear()
 
 
 compile_schedule.cache_info = _compile_schedule.cache_info

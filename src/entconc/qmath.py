@@ -172,8 +172,14 @@ def _dims_for(size: int) -> tuple[int, ...]:
 
 
 def _are_permutations(perms, d: int) -> bool:
-    """True iff each of ``perms`` has shape (d,) and its raw values sort to range(d)."""
-    shaped = all(np.shape(p) == (d,) for p in perms)
+    """True iff each of ``perms`` has shape (d,) and its raw values sort to range(d).
+
+    An array ``perms`` has its shape checked once, not row by row.
+    """
+    if isinstance(perms, np.ndarray):
+        shaped = perms.shape[1:] == (d,)
+    else:
+        shaped = all(np.shape(p) == (d,) for p in perms)
     return shaped and (np.sort(perms, axis=-1) == np.arange(d)).all()
 
 

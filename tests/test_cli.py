@@ -244,6 +244,16 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["5", "nan"])
+    @pytest.mark.parametrize("axis, field", [("a", "a"), ("pd", "p_d"), ("pg", "p_g")])
+    def test_swept_option_checked_as_given(self, tmp_path, capsys, axis, field, value):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--axis", axis, "--range", "0:0:1", f"--{axis}", value,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {field} must lie in [0, 1]\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis", ["p_d", "p_g"])
     def test_only_documented_axis_names(self, tmp_path, capsys, axis):
         with pytest.raises(SystemExit) as exc:

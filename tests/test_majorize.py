@@ -653,8 +653,66 @@ class TestSupportMatchings:
         listed = birkhoff_decompose(m)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(majorize, "MATCHING_CAP", 0)
+            # the support memo holds the listed rule of m's pattern
+            compile_schedule.cache_clear()
             searched = birkhoff_decompose(m)
         assert_same_terms(searched, listed)
+
+
+def shared_support_mixtures(n_supports, n_values, seed):
+    """Random mixtures of 1-5 permutations at d = 2..8, n_values per support.
+
+    Each support is the union of its permutations; its mixtures draw new
+    weights, so they share the support but not their values.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_supports):
+        d = int(rng.integers(2, 9))
+        perms = [rng.permutation(d) for _ in range(int(rng.integers(1, 6)))]
+        for _ in range(n_values):
+            w = rng.random(len(perms)) + 0.05
+            m = np.zeros((d, d))
+            for wi, p in zip(w / w.sum(), perms):
+                m[np.arange(d), p] += wi
+            out.append(m)
+    return out
+
+
+class TestSupportMemo:
+    """The matching rule of each support pattern, listed once and shared."""
+
+    def test_warm_terms_equal_cold_terms(self):
+        mats = shared_support_mixtures(50, 5, seed=11)
+        warm = [birkhoff_decompose(m) for m in mats]
+        assert majorize._support_rule.cache_info().hits >= 200
+        for m, terms in zip(mats, warm):
+            compile_schedule.cache_clear()
+            assert_same_terms(birkhoff_decompose(m), terms)
+
+    def test_lists_once_per_pattern(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(majorize, "_support_matchings",
+                            lambda *a: calls.append(1) or _support_matchings(*a))
+        first, same, other = shared_support_mixtures(2, 2, seed=4)[:3]
+        assert (first > 0).tolist() == (same > 0).tolist() and not np.array_equal(first, same)
+        birkhoff_decompose(first)
+        birkhoff_decompose(same)
+        assert len(calls) == 1
+        birkhoff_decompose(other)
+        assert len(calls) == 2
+        compile_schedule.cache_clear()
+        birkhoff_decompose(same)
+        assert len(calls) == 3
+
+    def test_fallback_verdict_is_memoized(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(majorize, "_support_matchings",
+                            lambda *a: calls.append(1) or _support_matchings(*a))
+        for t in (0.7, 0.6):
+            assert_same_terms(birkhoff_decompose(dense_step_product(t)),
+                              brute_force_birkhoff(dense_step_product(t)))
+        assert len(calls) == 1
 
 
 class TestCompiledRoundTerms:

@@ -5,7 +5,9 @@ A hit returns the very object a cold call built, so every array in it is
 read-only and every sequence a tuple, and a cold call after
 ``cache_clear()`` must give the same bytes. ``compile_schedule`` also
 keeps the g-independent plan of an input, shared by its schedules at
-every g. The conftest fixture empties both memos before each test.
+every g, shares the rounds of a g past the step count, and keeps the
+synthesis report of each support. The conftest fixture empties both
+memos before each test.
 """
 
 import dataclasses
@@ -16,13 +18,16 @@ import pytest
 
 from entconc import (
     PHI_PLUS,
+    DiagonalPOVM,
     NoiseParams,
     compile_schedule,
+    embed_povm,
     find_catalyst,
     locc,
     prepare_state,
     run_schedule,
     schedule_to_document,
+    synthesize,
 )
 from entconc.cli import main
 from entconc.locc import _MEMO_SIZE
@@ -149,6 +154,66 @@ class TestSharedPlan:
         assert all(other is basis for other in others)
         with pytest.raises(ValueError, match="read-only"):
             basis[0, 0] = basis[0, 0]
+
+
+class TestRoundsPastStepCount:
+    """A g past the step count shares the rounds of the schedule at it."""
+
+    def test_nec_shares_its_two_step_rounds(self, inputs):
+        src, tgt = inputs["nec"]
+        assert len(compile_schedule(src, tgt, 1).rounds) == 2
+        at_steps = compile_schedule(src, tgt, 2)
+        past = compile_schedule(src, tgt, 3)
+        assert len(at_steps.rounds) == 1 and len(at_steps.rounds[0].povm.elements) > 2
+        assert past.rounds is at_steps.rounds
+        assert past.final_filter is at_steps.final_filter
+        assert (past.group_size, at_steps.group_size) == (3, 2)
+        doc_past, doc_steps = json.loads(document(past)), json.loads(document(at_steps))
+        assert doc_past.pop("group_size") == 3 and doc_steps.pop("group_size") == 2
+        assert doc_past == doc_steps
+        compile_schedule.cache_clear()
+        cold = compile_schedule(src, tgt, 3)
+        assert cold is not past and document(cold) == document(past)
+        assert_same_runs(cold, past)
+
+    def test_chain_of_no_steps_shares_group_size_one(self):
+        schedules = [compile_schedule(PHI_PLUS, PHI_PLUS, g) for g in GROUPS]
+        for g, schedule in zip(GROUPS, schedules):
+            assert schedule.rounds == () and schedule.group_size == g
+            assert schedule.final_filter is schedules[0].final_filter
+
+
+class TestSynthesisMemo:
+    """One frozen synthesis report per support and register shape."""
+
+    @staticmethod
+    def report(elements):
+        d = len(elements[0])
+        perms = [np.roll(np.arange(d), k) for k in range(len(elements))]
+        return synthesize(embed_povm(DiagonalPOVM(elements, perms)))
+
+    def test_equal_supports_share_one_report(self):
+        first = self.report([[0.3, 0.6, 0.0, 0.5], [0.7, 0.4, 0.0, 0.5]])
+        assert self.report([[0.9, 0.2, 0.0, 0.1], [0.1, 0.8, 0.0, 0.9]]) is first
+        assert [b.index for b in first.blocks] == [0, 1, 3]
+
+    def test_outcomes_and_aux_count_do_not_collide(self):
+        three = self.report([[0.2, 0.5], [0.3, 0.25], [0.5, 0.25]])
+        four = self.report([[0.2, 0.5], [0.3, 0.25], [0.25, 0.1], [0.25, 0.15]])
+        assert three is not four
+        assert (three.mcx_total, four.mcx_total) == (8, 12)
+        emb = embed_povm(DiagonalPOVM([[0.2, 0.5], [0.8, 0.5]], [[0, 1], [1, 0]]))
+        wider = synthesize(dataclasses.replace(emb, aux_count=2))
+        assert wider is not synthesize(emb)
+        assert wider.blocks[0].touched_qubits == (0, 1, 2)
+        assert synthesize(emb).blocks[0].touched_qubits == (0, 1)
+
+    def test_cache_clear_empties_the_structure_memos(self, inputs):
+        memos = (locc._support_rule, locc._synthesis_report)
+        compile_schedule(*inputs["cec"], 2)
+        assert all(memo.cache_info().currsize > 0 for memo in memos)
+        compile_schedule.cache_clear()
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
 class TestCompileKey:
