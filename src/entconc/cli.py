@@ -13,7 +13,8 @@ report
     protocol has the lowest infidelity where.
 
 All outputs are deterministic: identical arguments produce byte-identical
-files. Exit codes: 0 success, 2 usage error, 3 numerical failure.
+files. Exit codes: 0 success, 2 usage error (a bad option, or a file that
+cannot be opened or read), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -300,15 +301,23 @@ def _write_svg(path, rows, axis_field, args):
         lines, "success probability", series_suc, x_label, (0.0, 1.0), 320,
     )
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _open(path: str, *args, **kwargs):
+    """``open(path, ...)``, with an OSError raised as a UsageError naming the path."""
+    try:
+        return open(path, *args, **kwargs)
+    except OSError as exc:
+        raise UsageError(f"cannot open {path}: {exc.strerror}") from exc
 
 
 def _output(path: str):
     """Context of the text stream ``--out`` names: stdout for -, else the file."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    return _open(path, "w", encoding="utf-8", newline="")
 
 
 def _cmd_sweep(args) -> int:
@@ -350,8 +359,12 @@ def _cmd_compile(args) -> int:
 def _read_csv(path: str) -> list:
     if not os.path.exists(path):
         raise UsageError(f"missing file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+    with _open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"malformed CSV (not UTF-8): {path}") from exc
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     if not lines:
         raise UsageError(f"malformed CSV (no header): {path}")
     reader = csv.reader(lines)

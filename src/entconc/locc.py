@@ -40,10 +40,11 @@ from .qmath import (
     _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor,
 )
 
-# Plans kept by each planning memo (compile_schedule, find_catalyst): a
-# sweep point plans NEC and CEC at one g and one catalyst, and a loop over
-# g = 1, 2, 3 plans six schedules.
-_MEMO_SIZE = 16
+# Plans kept by each planning memo (compile_schedule, its plan memos and
+# find_catalyst): one p_d grid of 22 points (0 to 0.1 in steps of 0.01) at
+# a = 0 and 0.1 has 28 distinct compile inputs and 14 catalyst inputs, so
+# the grid swept again, or at each of several p_g, plans nothing twice.
+_MEMO_SIZE = 32
 
 # Synthesis reports kept, one per support and register shape: a compile of
 # NEC, CEC and random inputs at g = 1, 2, 3 meets about 25.

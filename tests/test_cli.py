@@ -1,6 +1,8 @@
 """Tests for the sweep/compile/report command line."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -359,6 +361,34 @@ class TestOutput:
         stdout = capsysbinary.readouterr().out
         assert main(args + ["--out", str(path)]) == 0
         assert stdout and path.read_bytes() == stdout
+
+
+class TestFileErrors:
+    """A path that cannot be opened or decoded is a usage error of one line."""
+
+    SWEEP = ["sweep", "--axis", "pd", "--range", "0:0:1"]
+
+    @pytest.mark.parametrize("args, name", [
+        (SWEEP + ["--out"], "x.csv"),
+        (SWEEP + ["--svg"], "x.svg"),
+        (["compile", "--out"], "x.json"),
+    ], ids=["sweep-out", "sweep-svg", "compile-out"])
+    def test_unwritable_path(self, tmp_path, capsys, args, name):
+        path = tmp_path / "absent" / name
+        assert main(args + [str(path)]) == 2
+        reason = os.strerror(errno.ENOENT)
+        assert capsys.readouterr().err == f"error: cannot open {path}: {reason}\n"
+
+    def test_report_of_a_directory(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        reason = os.strerror(errno.EISDIR)
+        assert capsys.readouterr().err == f"error: cannot open {tmp_path}: {reason}\n"
+
+    def test_report_of_a_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(",".join(COLUMNS).encode() + b"\nnec,0.1,\xe9\n")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: malformed CSV (not UTF-8): {path}\n"
 
 
 class TestReport:

@@ -6,8 +6,10 @@ read-only and every sequence a tuple, and a cold call after
 ``cache_clear()`` must give the same bytes. ``compile_schedule`` also
 keeps the g-independent plan of an input, shared by its schedules at
 every g, shares the rounds of a g past the step count, and keeps the
-synthesis report of each support. The conftest fixture empties both
-memos before each test.
+synthesis report of each support. One sweep's p_d grid at two values of
+a fits every planning memo, so sweeping it again, or at another p_g,
+plans nothing twice. The conftest fixture empties both memos before each
+test.
 """
 
 import dataclasses
@@ -25,6 +27,10 @@ from entconc import (
     find_catalyst,
     locc,
     prepare_state,
+    result_to_document,
+    reuse_catalyst,
+    run_cec,
+    run_nec,
     run_schedule,
     schedule_to_document,
     synthesize,
@@ -351,6 +357,76 @@ class TestSweepPlansOnce:
         assert main(argv) == 0
         assert compile_schedule.cache_info().misses == 2 + 11
         assert find_catalyst.cache_info().misses == 1
+
+
+# the p_d grid of a sweep at two values of a: p_d = 0, 0.01, ..., 0.1
+PD_GRID = [(a, i / 100) for a in (0.0, 0.1) for i in range(11)]
+GRID_NAME = "the 22-point p_d grid (a in {0, 0.1} x p_d in {0, 0.01, ..., 0.1})"
+
+
+@pytest.fixture(scope="module")
+def grid_states():
+    """(a, p_d) -> (pair state, NEC planning states) over PD_GRID."""
+    out = {}
+    for a, p_d in PD_GRID:
+        rho = prepare_state(NoiseParams(a=a, p_d=p_d))
+        out[a, p_d] = rho, nec_planning_states(rho, rho)
+    return out
+
+
+def plan_point(rho, nec):
+    """The planning calls of one NEC and CEC sweep point at g = 1."""
+    compile_schedule(*nec)
+    compile_schedule(*cec_planning_states(rho, rho, find_catalyst(*nec).state))
+
+
+def planning_misses() -> tuple:
+    memos = (compile_schedule, locc._plan, locc._target_plan, find_catalyst)
+    return tuple(memo.cache_info().misses for memo in memos)
+
+
+def run_point(rho, p_g) -> list:
+    """NEC, CEC and replayed reuse at one point, as comparable bytes."""
+    cec = run_cec(rho, rho, find_catalyst(*nec_planning_states(rho, rho)), 1, p_g)
+    results = (run_nec(rho, rho, 1, p_g), cec, reuse_catalyst(cec, rho, rho, p_g))
+    return [(json.dumps(result_to_document(r)), r.output_state.tobytes(),
+             None if r.catalyst_post is None else r.catalyst_post.tobytes()) for r in results]
+
+
+class TestSweepGridFits:
+    """One p_d grid at two values of a fits every planning memo."""
+
+    def test_grid_inputs_fit_the_bound(self, grid_states):
+        compiles, searches = set(), set()
+        for rho, nec in grid_states.values():
+            key = tuple(map(locc._input_bytes, nec))
+            searches.add(key)
+            compiles.add(key)
+            cec = cec_planning_states(rho, rho, find_catalyst(*nec).state)
+            compiles.add(tuple(map(locc._input_bytes, cec)))
+        assert (len(compiles), len(searches)) == (28, 14), GRID_NAME
+        assert len(compiles) <= _MEMO_SIZE, f"{GRID_NAME} overflows the compile memo"
+        assert len(searches) <= _MEMO_SIZE, f"{GRID_NAME} overflows the catalyst memo"
+
+    def test_second_pass_in_any_order_plans_nothing(self, grid_states):
+        for rho, nec in grid_states.values():
+            plan_point(rho, nec)
+        first = planning_misses()
+        assert first[0] == 28 and first[3] == 14
+        points = list(grid_states.values())
+        for i in np.random.default_rng(22).permutation(len(points)):
+            plan_point(*points[i])
+        assert planning_misses() == first, GRID_NAME
+
+    def test_grid_stacked_over_pg_plans_once_and_equals_cold(self, grid_states):
+        stacked = {(a, p_d, p_g): run_point(grid_states[a, p_d][0], p_g)
+                   for p_g in (0.0, 1e-3) for a, p_d in PD_GRID}
+        assert (compile_schedule.cache_info().misses, find_catalyst.cache_info().misses) == (
+            28, 14), GRID_NAME
+        for (a, p_d, p_g), warm in stacked.items():
+            compile_schedule.cache_clear()
+            find_catalyst.cache_clear()
+            assert run_point(grid_states[a, p_d][0], p_g) == warm, (a, p_d, p_g)
 
 
 def other_source(src, seed=5):
