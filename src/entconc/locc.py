@@ -36,19 +36,9 @@ from .majorize import (
 )
 from .noise import _depolarize_qubits
 from .qmath import (
-    STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, _are_permutations, _check_probability, _dims_for,
-    _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor,
+    _MEMO_SIZE, STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, _are_permutations, _check_probability,
+    _dims_for, _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor,
 )
-
-# Plans kept by each planning memo (compile_schedule, its plan memos and
-# find_catalyst): one p_d grid of 22 points (0 to 0.1 in steps of 0.01) at
-# a = 0 and 0.1 has 28 distinct compile inputs and 14 catalyst inputs, so
-# the grid swept again, or at each of several p_g, plans nothing twice.
-_MEMO_SIZE = 32
-
-# Synthesis reports kept, one per support and register shape: a compile of
-# NEC, CEC and random inputs at g = 1, 2, 3 meets about 25.
-_SYNTHESIS_MEMO_SIZE = 64
 
 
 def _input_bytes(state) -> bytes:
@@ -65,30 +55,28 @@ def _read_only(*arrays) -> None:
 class DiagonalPOVM:
     """Diagonal measurement with classical correction permutations.
 
-    ``elements`` holds the diagonals of the positive operators A_m as 1-D
-    arrays; ``corrections`` holds one permutation index array per element,
-    with (P v)[i] = v[perm[i]]. Both are stored as tuples, whatever
-    sequence is passed; 2-D arrays, as ``js_povm`` passes, are checked as
-    they are, with no restacking. On the support (positions where the
+    ``elements`` is an (m, d) float array whose row m is the diagonal of
+    the positive operator A_m; ``corrections`` is an (m, d) int array whose
+    row m is element m's permutation, with (P v)[i] = v[perm[i]]. Any
+    sequences of rows are taken; an (m, d) float array, as ``js_povm``
+    passes, is kept as it is. On the support (positions where the
     diagonals sum to 1 within STRUCTURAL_TOL) the elements are complete;
     off-support positions carry 0 in every element and are routed to
     outcome 0 at execution time. ``support`` is the boolean mask of the
     support, set by the completeness check. Each correction must be a
-    permutation of range(d), d >= 1, and entries must lie in [0, 1] within
-    UNIT_TOL.
+    permutation of range(d), d >= 1, checked before any cast to int, and
+    entries must lie in [0, 1] within UNIT_TOL.
     """
 
-    elements: tuple
-    corrections: tuple
+    elements: np.ndarray
+    corrections: np.ndarray
     support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        els, perms = self.elements, self.corrections
-        object.__setattr__(self, "elements", tuple(els))
-        object.__setattr__(self, "corrections", tuple(perms))
-        if len(self.elements) != len(self.corrections):
+        perms = self.corrections
+        if len(self.elements) != len(perms):
             raise ValueError("need one correction permutation per element")
-        els = np.asarray(els, dtype=float)
+        els = np.asarray(self.elements, dtype=float)
         if not els.size:
             raise ValueError("a POVM needs at least one element, of at least one entry")
         d = els.shape[-1]
@@ -100,6 +88,8 @@ class DiagonalPOVM:
         on = abs(total - 1.0) <= STRUCTURAL_TOL
         if not (on | (abs(total) <= STRUCTURAL_TOL)).all():
             raise ValueError("POVM elements do not sum to identity on the support")
+        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "corrections", np.asarray(perms, dtype=int))
         object.__setattr__(self, "support", on)
 
 
@@ -136,13 +126,25 @@ class SynthesisBlock(NamedTuple):
 
 @dataclass(frozen=True)
 class SynthesisReport:
-    """Non-identity controlled blocks of an embedding with MCX costs."""
+    """Non-identity controlled blocks of an embedding with MCX costs.
 
-    blocks: tuple
+    Block ``embedding.blocks[j]`` is controlled for each j in ``indices``,
+    in order; each costs ``mcx_per_block`` MCX gates on ``touched_qubits``.
+    """
+
+    indices: tuple
+    mcx_per_block: int
+    touched_qubits: tuple
 
     @property
     def mcx_total(self) -> int:
-        return sum(b.mcx_count for b in self.blocks)
+        return self.mcx_per_block * len(self.indices)
+
+    @property
+    def blocks(self) -> tuple:
+        """One ``SynthesisBlock`` per controlled block, built on each access."""
+        per_block, touched = self.mcx_per_block, self.touched_qubits
+        return tuple(SynthesisBlock(j, per_block, touched) for j in self.indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +160,9 @@ class ScheduleRound:
     @property
     def corrections(self) -> np.ndarray:
         """Correction of every auxiliary outcome; identity for noise-only ones."""
-        emb, corr = self.embedding, self.povm.corrections
-        pad = repeat(np.arange(emb.data_dim), 2**emb.aux_count - len(corr))
-        return np.array([*corr, *pad])
+        d, corr = self.embedding.data_dim, self.povm.corrections
+        pad = np.broadcast_to(np.arange(d), (2**self.embedding.aux_count - len(corr), d))
+        return np.concatenate([corr, pad])
 
     @cached_property
     def kraus_rows(self) -> tuple:
@@ -272,7 +274,7 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     round get the same unitary completion of their amplitude column.
     Built from its own v, a reflection is orthogonal to about 1e-15.
     """
-    els = np.asarray(povm.elements, dtype=float)
+    els = povm.elements
     m, d = els.shape
     on = povm.support
     k = (m - 1).bit_length()
@@ -307,24 +309,10 @@ def synthesize(emb: EmbeddingUnitary) -> SynthesisReport:
     block is the identity exactly when it is off the support or the POVM
     has one outcome: on the support, ``embed_povm`` never builds the
     identity (the e_0 limit is diag(1, -1, 1, ...)).
-
-    The report depends only on the support, ``data_dim``, ``aux_count`` and
-    ``n_outcomes``, so it is memoized on them, the last
-    _SYNTHESIS_MEMO_SIZE kept: embeddings that agree there get the same
-    frozen report object. ``compile_schedule.cache_clear()`` empties it.
     """
-    return _synthesis_report(
-        np.asarray(emb.support, dtype=bool).tobytes(), emb.data_dim, emb.aux_count, emb.n_outcomes
-    )
-
-
-@lru_cache(maxsize=_SYNTHESIS_MEMO_SIZE)
-def _synthesis_report(support: bytes, data_dim: int, aux_count: int, n_outcomes: int):
-    touched = tuple(range(len(_dims_for(data_dim)) + aux_count))
-    per_block = 2 * (n_outcomes - 1)
-    on = np.flatnonzero(np.frombuffer(support, dtype=bool)).tolist() if n_outcomes > 1 else []
-    # from a list: tuple() of a generator raised a long compile loop's peak RSS
-    return SynthesisReport(tuple([SynthesisBlock(j, per_block, touched) for j in on]))
+    on = emb.support.nonzero()[0].tolist() if emb.n_outcomes > 1 else []
+    touched = tuple(range(len(_dims_for(emb.data_dim)) + emb.aux_count))
+    return SynthesisReport(tuple(on), 2 * (emb.n_outcomes - 1), touched)
 
 
 def _gate_noise(rho: np.ndarray, rnd: ScheduleRound, p_g: float, n_qubits: int):
@@ -497,9 +485,8 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     the same bound keeps the target's identity-pinned Schmidt
     decomposition per target and register size, shared by every source
     planned against that target. ``birkhoff_decompose`` keeps the
-    matchings of each support pattern and ``synthesize`` the report of
-    each support, so rounds of one structure share them. Code that
-    patches the compile path's internals must call
+    matchings of each support pattern, so rounds of one structure share
+    them. Code that patches the compile path's internals must call
     ``compile_schedule.cache_clear()`` first; it empties every memo.
     """
     g = operator.index(g)
@@ -599,7 +586,7 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     _read_only(filt)
     for rnd in rounds:
         povm, emb = rnd.povm, rnd.embedding
-        _read_only(rnd.current, rnd.target_vector, *povm.elements, *povm.corrections,
+        _read_only(rnd.current, rnd.target_vector, povm.elements, povm.corrections,
                    povm.support, emb.blocks, emb.support)
     return schedule
 
@@ -609,7 +596,6 @@ def _clear_memos() -> None:
     _plan.cache_clear()
     _target_plan.cache_clear()
     _support_rule.cache_clear()
-    _synthesis_report.cache_clear()
 
 
 compile_schedule.cache_info = _compile_schedule.cache_info
@@ -673,19 +659,18 @@ def schedule_to_document(schedule: ProtocolSchedule) -> dict:
     """JSON-ready description of a schedule for inspection and golden tests."""
     rounds = []
     for rnd in schedule.rounds:
+        syn = rnd.synthesis
         rounds.append(
             {
                 "party": "A",
                 "current": rnd.current.tolist(),
                 "target": rnd.target_vector.tolist(),
-                "elements": [el.tolist() for el in rnd.povm.elements],
-                "corrections": [p.tolist() for p in rnd.povm.corrections],
+                "elements": rnd.povm.elements.tolist(),
+                "corrections": rnd.povm.corrections.tolist(),
                 "aux_count": rnd.embedding.aux_count,
-                "mcx_per_block": [b.mcx_count for b in rnd.synthesis.blocks],
-                "touched_qubits": [
-                    list(b.touched_qubits) for b in rnd.synthesis.blocks
-                ],
-                "mcx_total": rnd.synthesis.mcx_total,
+                "mcx_per_block": [syn.mcx_per_block] * len(syn.indices),
+                "touched_qubits": [list(syn.touched_qubits)] * len(syn.indices),
+                "mcx_total": syn.mcx_total,
             }
         )
     return {

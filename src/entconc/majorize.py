@@ -16,7 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import INPUT_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, ZERO_TOL, clip_unit
+from .qmath import (
+    _MEMO_SIZE, INPUT_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, ZERO_TOL, clip_unit,
+)
 
 
 class TTransform(NamedTuple):
@@ -396,12 +398,8 @@ def _first_bottleneck(matchings: list, d: int):
 # decomposition binary-searches each bottleneck instead of listing them.
 MATCHING_CAP = 256
 
-# Support patterns whose matching rule is kept: a compile of NEC, CEC and
-# random inputs at g = 1, 2, 3 meets about 18.
-_SUPPORT_MEMO_SIZE = 64
 
-
-@lru_cache(maxsize=_SUPPORT_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _support_rule(mask: bytes, d: int):
     """``_first_bottleneck`` of the d x d support ``mask``, or None past MATCHING_CAP.
 
@@ -453,7 +451,7 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     support are listed once (``_support_matchings``), and each step picks
     from that list (``_first_bottleneck``). The list and its rule depend
     on the support alone, so they are memoized on the support pattern and
-    d, the last _SUPPORT_MEMO_SIZE patterns kept; matrices of one support
+    d, the last ``qmath._MEMO_SIZE`` patterns kept; matrices of one support
     and different values share them. Past MATCHING_CAP matchings, each
     step runs ``_lex_bottleneck_matching`` itself, and that verdict is
     memoized the same way. ``locc.compile_schedule.cache_clear()`` empties

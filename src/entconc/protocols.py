@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .locc import (
-    _MEMO_SIZE,
     ProtocolSchedule,
     _input_bytes,
     _read_only,
@@ -34,6 +33,7 @@ from .locc import (
 )
 from .noise import PHI_PLUS, _depolarize_qubits, surrogate
 from .qmath import (
+    _MEMO_SIZE,
     MIN_ACCEPTANCE,
     PAULI_I,
     PAULI_X,

@@ -1,6 +1,7 @@
 """Unit tests for POVM construction, dilation, synthesis, and execution."""
 
 import sys
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from conftest import random_bipartite, schmidt_pair_state
 
 from entconc import (
+    PHI_PLUS,
     DiagonalPOVM,
     NoiseParams,
     apply_correction,
@@ -589,6 +591,29 @@ class TestSynthesize:
         )
         with pytest.raises(ValueError, match="power of two"):
             synthesize(embed_povm(povm))
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), d=st.integers(2, 8))
+    def test_report_charges_each_support_block(self, seed, m, d):
+        # random columns, about 30 % of them off the support
+        rng = np.random.default_rng(seed)
+        els = rng.dirichlet(np.ones(m), size=d).T * (rng.random(d) < 0.7)
+        povm = DiagonalPOVM(els, [rng.permutation(d) for _ in range(m)])
+        emb = embed_povm(povm)
+        if d & (d - 1):
+            with pytest.raises(ValueError, match="power of two"):
+                synthesize(emb)
+            return
+        rep = synthesize(emb)
+        support = np.flatnonzero(povm.support).tolist()
+        assert rep.mcx_total == 2 * (m - 1) * len(support)
+        assert [b.index for b in rep.blocks] == (support if m > 1 else [])
+        touched = tuple(range(d.bit_length() - 1 + emb.aux_count))
+        assert all(b.touched_qubits == touched and b.mcx_count == 2 * (m - 1) for b in rep.blocks)
+        schedule = replace(compile_schedule(PHI_PLUS, PHI_PLUS), rounds=(diag_round(povm),))
+        doc = schedule_to_document(schedule)["rounds"][0]
+        assert doc["mcx_per_block"] == [b.mcx_count for b in rep.blocks]
+        assert doc["touched_qubits"] == [list(b.touched_qubits) for b in rep.blocks]
+        assert doc["mcx_total"] == rep.mcx_total
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_aux_count_is_ceil_log2(self, m):

@@ -365,6 +365,22 @@ class TestGaugeReference:
         got = basis @ qmath._canonical_span(basis)
         assert np.max(np.abs(got - reference_canonical_span(basis))) <= 1e-13
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), small=st.integers(0, 3))
+    @example(seed=0, n=2, small=1)
+    def test_real_line_is_its_first_sign(self, seed, n, small):
+        # entries below PIN_TOL, then entries of either sign and any scale
+        rng = np.random.default_rng(seed)
+        col = np.concatenate([
+            rng.uniform(-1, 1, small) * qmath.PIN_TOL,
+            rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-7.9, 0, n),
+        ])
+        col /= np.linalg.norm(col)
+        for basis in (col[:, None], col[:, None].astype(complex)):
+            b_j = basis[np.argmax(abs(col) > qmath.PIN_TOL), 0]
+            q = qmath._canonical_span(basis)
+            assert q.shape == (1, 1)
+            assert q[0, 0].tobytes() == np.complex128(b_j.conjugate() / abs(b_j)).tobytes()
+
     def test_nondegenerate_source_runs_one_svd(self, rng, monkeypatch):
         calls = []
         svd = np.linalg.svd
