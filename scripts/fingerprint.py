@@ -23,6 +23,13 @@ leaves every output byte-identical. The groups:
 ``birkhoff``
     ``birkhoff_decompose`` of seeded random mixtures of 1-5 permutations at
     d = 2..8.
+``protocols``
+    ``result_to_document`` of ``run_nec``, of ``run_cec`` with
+    ``find_catalyst``'s catalyst, of ``reuse_catalyst`` replayed and
+    recompiled, and of ``run_distillation`` with ``optimize_distillation``'s
+    plan, at each (a, p_d) above, p_g in {0, 1e-3, 0.02} and g = 1, 2, 3
+    (distillation has no g); also that catalyst's ``schmidt`` and
+    ``achieved_probability``.
 
 A call that raises is hashed as its exception type and message. All calls
 run in this one process, so the memos are warm wherever inputs repeat.
@@ -42,7 +49,13 @@ from entconc import (
     birkhoff_decompose,
     compile_schedule,
     find_catalyst,
+    optimize_distillation,
     prepare_state,
+    result_to_document,
+    reuse_catalyst,
+    run_cec,
+    run_distillation,
+    run_nec,
     run_schedule,
     schedule_to_document,
 )
@@ -104,6 +117,38 @@ def noise_points(groups: dict) -> None:
                         hash_schedule(groups, schedule)
 
 
+def hash_result(h, func, *args) -> object:
+    """``attempt(h, func, *args)``, hashing the result's document when there is one."""
+    result = attempt(h, func, *args)
+    if result is not None:
+        feed(h, json.dumps(result_to_document(result)))
+    return result
+
+
+def protocol_runs(groups: dict) -> None:
+    h = groups["protocols"]
+    for a in A_GRID:
+        for p_d in PD_GRID:
+            rho = prepare_state(NoiseParams(a=a, p_d=p_d))
+            catalyst = attempt(h, find_catalyst, *nec_planning_states(rho, rho))
+            if catalyst is not None:
+                feed(h, [catalyst.schmidt, catalyst.achieved_probability])
+            for p_g in PG_GRID:
+                for g in (1, 2, 3):
+                    hash_result(h, run_nec, rho, rho, g, p_g)
+                    if catalyst is None:
+                        continue
+                    cec = hash_result(h, run_cec, rho, rho, catalyst, g, p_g)
+                    if cec is None:
+                        continue
+                    for recompile in (False, True):
+                        hash_result(h, lambda: reuse_catalyst(
+                            cec, rho, rho, p_g, recompile_from_state=recompile))
+                plan = attempt(h, optimize_distillation, rho, rho, p_g)
+                if plan is not None:
+                    hash_result(h, run_distillation, rho, rho, plan, p_g)
+
+
 def random_inputs(groups: dict) -> None:
     rng = np.random.default_rng(2024)
     for d in (2, 4, 8):
@@ -134,8 +179,9 @@ def birkhoff_mixtures(groups: dict) -> None:
 
 def main() -> int:
     groups = {name: hashlib.sha256() for name in
-              ("schedules", "runs", "catalysts", "random", "birkhoff")}
+              ("schedules", "runs", "catalysts", "random", "birkhoff", "protocols")}
     noise_points(groups)
+    protocol_runs(groups)
     random_inputs(groups)
     birkhoff_mixtures(groups)
     json.dump({name: h.hexdigest() for name, h in groups.items()}, sys.stdout, indent=1)

@@ -58,14 +58,15 @@ class DiagonalPOVM:
     ``elements`` is an (m, d) float array whose row m is the diagonal of
     the positive operator A_m; ``corrections`` is an (m, d) int array whose
     row m is element m's permutation, with (P v)[i] = v[perm[i]]. Any
-    sequences of rows are taken; an (m, d) float array, as ``js_povm``
-    passes, is kept as it is. On the support (positions where the
-    diagonals sum to 1 within STRUCTURAL_TOL) the elements are complete;
-    off-support positions carry 0 in every element and are routed to
-    outcome 0 at execution time. ``support`` is the boolean mask of the
-    support, set by the completeness check. Each correction must be a
-    permutation of range(d), d >= 1, checked before any cast to int, and
-    entries must lie in [0, 1] within UNIT_TOL.
+    sequences of rows are taken, and the POVM keeps its own read-only
+    copies, so a later write into the caller's arrays changes nothing. On
+    the support (positions where the diagonals sum to 1 within
+    STRUCTURAL_TOL) the elements are complete; off-support positions carry
+    0 in every element and are routed to outcome 0 at execution time.
+    ``support`` is the read-only boolean mask of the support, set by the
+    completeness check. Each correction must be a permutation of
+    range(d), d >= 1, checked before any cast to int, and entries must lie
+    in [0, 1] within UNIT_TOL.
     """
 
     elements: np.ndarray
@@ -76,7 +77,7 @@ class DiagonalPOVM:
         perms = self.corrections
         if len(self.elements) != len(perms):
             raise ValueError("need one correction permutation per element")
-        els = np.asarray(self.elements, dtype=float)
+        els = np.array(self.elements, dtype=float)
         if not els.size:
             raise ValueError("a POVM needs at least one element, of at least one entry")
         d = els.shape[-1]
@@ -88,8 +89,10 @@ class DiagonalPOVM:
         on = abs(total - 1.0) <= STRUCTURAL_TOL
         if not (on | (abs(total) <= STRUCTURAL_TOL)).all():
             raise ValueError("POVM elements do not sum to identity on the support")
+        corrections = np.array(perms, dtype=int)
+        _read_only(els, corrections, on)
         object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "corrections", np.asarray(perms, dtype=int))
+        object.__setattr__(self, "corrections", corrections)
         object.__setattr__(self, "support", on)
 
 
@@ -585,9 +588,7 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     # shared by every caller that hits the memo, so no caller may write
     _read_only(filt)
     for rnd in rounds:
-        povm, emb = rnd.povm, rnd.embedding
-        _read_only(rnd.current, rnd.target_vector, povm.elements, povm.corrections,
-                   povm.support, emb.blocks, emb.support)
+        _read_only(rnd.current, rnd.target_vector, rnd.embedding.blocks)
     return schedule
 
 

@@ -5,6 +5,10 @@ system in party layout (all of A's qubits, then all of B's), plans against
 the pure surrogate of the input, executes the compiled schedule with
 optional gate noise, and reduces the success branch to the designated
 output pair. The designated output pair is always the first prepared pair.
+Every pair state passes one check, once per distinct input object. The
+runners and the public ``nec_planning_states`` and ``cec_planning_states``
+plan through one private planner, in which the catalytic case is the
+non-catalytic one with the catalyst pair added to both sides.
 
 Conversion runners:
 - ``run_nec``: two pairs into one Bell pair, no catalyst.
@@ -37,6 +41,7 @@ from .qmath import (
     MIN_ACCEPTANCE,
     PAULI_I,
     PAULI_X,
+    STRUCTURAL_TOL,
     UNIT_TOL,
     _check_probability,
     assert_density_matrix,
@@ -69,10 +74,11 @@ class ProtocolResult:
     """Outcome of one protocol run.
 
     ``output_state`` is the normalized success-branch state of the output
-    pair; ``catalyst_post`` (catalytic runs only) is the reduced state of
-    the catalyst pair on the success branch. ``gate_counts`` maps party
-    name to its MCX total. ``branch_count`` counts the measurement branches
-    in the schedule plus the two filter branches. ``schedule`` is the
+    pair; ``catalyst_post`` is the reduced state of the catalyst pair on
+    the success branch. The catalyst fields are None for runs without a
+    catalyst. ``gate_counts`` maps party name to its MCX total.
+    ``branch_count`` counts the measurement branches in the schedule plus
+    the two filter branches. ``schedule`` is the
     conversion schedule compiled for the pairs and the ideal catalyst, the
     one ``reuse_catalyst`` replays; a reuse link passes it on, also when it
     ran a recompiled schedule. Distillation results carry None.
@@ -81,9 +87,9 @@ class ProtocolResult:
     success_probability: float
     output_state: np.ndarray
     output_fidelity: float
-    catalyst_post: np.ndarray | None
     gate_counts: dict
     branch_count: int
+    catalyst_post: np.ndarray | None = None
     catalyst_spec: "CatalystSpec | None" = None
     catalyst_fidelity_before: float | None = None
     catalyst_fidelity_after: float | None = None
@@ -181,17 +187,17 @@ def dejmps_plan() -> DistillationPlan:
 def _pair_states(*states) -> list:
     """The inputs as complex arrays, each checked to be a 4x4 density matrix.
 
-    Raises ValueError for a wrong shape or for a matrix that is not
-    Hermitian, of unit trace and positive (``assert_density_matrix``).
+    Each distinct input object is converted and checked once, and the same
+    object passed twice comes back as one array twice. Raises ValueError
+    for a wrong shape or for a matrix that is not Hermitian, of unit trace
+    and positive (``assert_density_matrix``).
     """
-    out = []
-    for rho in states:
-        rho = np.asarray(rho, dtype=complex)
+    checked = {id(rho): np.asarray(rho, dtype=complex) for rho in states}
+    for rho in checked.values():
         if rho.shape != (4, 4):
             raise ValueError(f"pair state must be 4x4, got shape {rho.shape}")
         assert_density_matrix(rho)
-        out.append(rho)
-    return out
+    return [checked[id(rho)] for rho in states]
 
 
 def _parties(*pairs) -> np.ndarray:
@@ -207,14 +213,28 @@ def _parties(*pairs) -> np.ndarray:
 _TARGET_PAIRS = (PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex))
 
 
-def joint_surrogate(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Party-ordered product of the per-pair surrogate states."""
-    return _parties(surrogate(rho_a), surrogate(rho_b))
+def _planning_states(rho_a: np.ndarray, rho_b: np.ndarray, catalyst=None) -> tuple:
+    """Source and target of the conversion of two checked pairs.
+
+    The source is the party-ordered product of the pairs' surrogates, one
+    ``surrogate`` per distinct pair object; the target is Phi+ (x) |00>.
+    A ``catalyst`` pair vector joins both as the last pair, so catalytic
+    planning is the non-catalytic case with one more pair. Raises
+    ValueError unless the catalyst has four entries.
+    """
+    cat = [] if catalyst is None else [np.asarray(catalyst, dtype=complex).reshape(-1)]
+    if cat and cat[0].size != 4:
+        raise ValueError(f"catalyst must be a 4-entry pair vector, got {np.shape(catalyst)}")
+    tops = [surrogate(rho_a)] * 2 if rho_b is rho_a else [surrogate(rho_a), surrogate(rho_b)]
+    return _parties(*tops, *cat), _parties(*_TARGET_PAIRS, *cat)
 
 
 def nec_planning_states(rho_a: np.ndarray, rho_b: np.ndarray) -> tuple:
-    """Surrogate and target states for the non-catalytic conversion."""
-    return joint_surrogate(rho_a, rho_b), _parties(*_TARGET_PAIRS)
+    """Surrogate and target states for the non-catalytic conversion.
+
+    The pairs are checked as ``run_nec`` checks them.
+    """
+    return _planning_states(*_pair_states(rho_a, rho_b))
 
 
 def cec_planning_states(
@@ -222,11 +242,11 @@ def cec_planning_states(
 ) -> tuple:
     """Surrogate and target states for the catalytic conversion.
 
-    ``planning_catalyst`` is the pure catalyst pair state the schedule is
+    ``planning_catalyst`` is the pure catalyst pair vector the schedule is
     planned with; the target returns it unchanged next to the Bell output.
+    The pairs are checked as ``run_cec`` checks them.
     """
-    cat = np.asarray(planning_catalyst, dtype=complex).reshape(-1)
-    return _parties(surrogate(rho_a), surrogate(rho_b), cat), _parties(*_TARGET_PAIRS, cat)
+    return _planning_states(*_pair_states(rho_a, rho_b), planning_catalyst)
 
 
 def _execute(
@@ -240,7 +260,7 @@ def _execute(
     n = len(pairs)
     prob, rho_out = run_schedule(schedule, _parties(*pairs), p_g)
     output = partial_trace(rho_out, keep=[0, n])
-    catalyst = {"catalyst_post": None}
+    catalyst = {}
     if ideal is not None:
         post = partial_trace(rho_out, keep=[n - 1, 2 * n - 1])
         catalyst = dict(
@@ -269,7 +289,7 @@ def run_nec(rho_a: np.ndarray, rho_b: np.ndarray, g: int = 1, p_g: float = 0.0) 
     two-qubit density matrices and 0 <= p_g <= 1.
     """
     pairs = _pair_states(rho_a, rho_b)
-    schedule = compile_schedule(*nec_planning_states(*pairs), g)
+    schedule = compile_schedule(*_planning_states(*pairs), g)
     return _execute(schedule, pairs, p_g)
 
 
@@ -330,13 +350,13 @@ def run_cec(
     compiled for it, and the target returns it alongside the Bell output;
     ``catalyst_post`` reports the catalyst pair's reduced state on the
     success branch, and ``schedule`` the compiled schedule. Raises
-    ValueError unless both pairs are two-qubit density matrices and
-    0 <= p_g <= 1.
+    ValueError unless both pairs are two-qubit density matrices, the
+    catalyst state is a 4-entry pair vector and 0 <= p_g <= 1.
     """
-    rho_a, rho_b = _pair_states(rho_a, rho_b)
+    pairs = _pair_states(rho_a, rho_b)
+    schedule = compile_schedule(*_planning_states(*pairs, catalyst.state), g)
     cat_dm = np.outer(catalyst.state, catalyst.state.conj())
-    schedule = compile_schedule(*cec_planning_states(rho_a, rho_b, catalyst.state), g)
-    return _execute(schedule, [rho_a, rho_b, cat_dm], p_g, catalyst)
+    return _execute(schedule, [*pairs, cat_dm], p_g, catalyst)
 
 
 def reuse_catalyst(
@@ -362,7 +382,7 @@ def reuse_catalyst(
     pairs = _pair_states(rho_a, rho_b, prev.catalyst_post)
     schedule = prev.schedule
     if recompile_from_state:
-        planning = cec_planning_states(pairs[0], pairs[1], surrogate(pairs[2]))
+        planning = _planning_states(*pairs[:2], surrogate(pairs[2]))
         schedule = compile_schedule(*planning, schedule.group_size)
     result = _execute(schedule, pairs, p_g, prev.catalyst_spec)
     return replace(result, schedule=prev.schedule)
@@ -378,15 +398,21 @@ def run_distillation(
     depolarizes its two qubits with probability ``p_g`` each), measures
     the second pair in the plan basis, and accepts equal outcomes. The
     output is the first pair's reduced state on the accept branch. Raises
-    ValueError unless both inputs are two-qubit density matrices and
-    0 <= p_g <= 1, and ArithmeticError when the plan accepts with
-    probability below MIN_ACCEPTANCE.
+    ValueError unless both inputs are two-qubit density matrices, the plan
+    holds two unitary 2x2 gates (every entry of G^dagger G - I within
+    STRUCTURAL_TOL) and a known basis, and 0 <= p_g <= 1; raises
+    ArithmeticError when the plan accepts with probability below
+    MIN_ACCEPTANCE.
     """
     rho_a, rho_b = _pair_states(rho_a, rho_b)
     if plan.basis not in MEASUREMENT_BASES:
         raise ValueError("measurement basis must be one of X, Y, Z")
-    ga, gb = (np.asarray(g, dtype=complex)[None] for g in plan.alice_gates)
-    accepted = _distill(rho_a, rho_b, ga, gb, p_g)[0, 0, MEASUREMENT_BASES.index(plan.basis)]
+    gates = [np.asarray(g, dtype=complex)[None] for g in plan.alice_gates]
+    if [g.shape for g in gates] != [(1, 2, 2)] * 2 or not all(
+        abs(g[0].conj().T @ g[0] - PAULI_I).max() <= STRUCTURAL_TOL for g in gates
+    ):
+        raise ValueError("distillation plan must hold two unitary 2x2 gates")
+    accepted = _distill(rho_a, rho_b, *gates, p_g)[0, 0, MEASUREMENT_BASES.index(plan.basis)]
     weight = clip_unit(np.trace(accepted).real, "acceptance probability")
     if weight < MIN_ACCEPTANCE:
         raise ArithmeticError(f"distillation plan accepts with probability {weight!r}")
@@ -395,7 +421,6 @@ def run_distillation(
         success_probability=weight,
         output_state=output,
         output_fidelity=float(fidelity(output, PHI_PLUS)),
-        catalyst_post=None,
         gate_counts={"A": 1, "B": 1},
         branch_count=4,
     )

@@ -76,10 +76,11 @@ STRUCTURAL_TOL = 1e-10
     Separates an identity exact in exact arithmetic from a broken one:
     Kraus completeness (``apply_channel``), POVM completeness, a state's
     smallest eigenvalue, an eigenpair residual, the T-transform chain's
-    reconstruction, the auxiliary register's population outside |0...0>
-    and a filter entry's square past 1. Derived: policy; each check follows
-    O(d^2) unit-scale operations on at most 64 dimensions, whose rounding
-    stays below 64^2 u = 4.5e-13, with a factor of 200 to spare.
+    reconstruction, the auxiliary register's population outside |0...0>,
+    a filter entry's square past 1 and a distillation gate's unitarity.
+    Derived: policy; each check follows O(d^2) unit-scale operations on at
+    most 64 dimensions, whose rounding stays below 64^2 u = 4.5e-13, with a
+    factor of 200 to spare.
     Test: TestStructuralTol.
 TOP_DEGENERACY_TOL = 1e-9
     Separates a degenerate top eigenvalue of a state from a simple one

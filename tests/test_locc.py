@@ -1,6 +1,7 @@
 """Unit tests for POVM construction, dilation, synthesis, and execution."""
 
 import sys
+import warnings
 from dataclasses import replace
 from functools import reduce
 
@@ -331,6 +332,22 @@ class TestDiagonalPovmValidation:
     def test_elements_of_no_entry_rejected(self):
         with pytest.raises(ValueError, match="at least one entry"):
             DiagonalPOVM([[]], [[]])
+
+    def test_caller_arrays_are_copied(self):
+        els = np.array([[0.3, 0.6], [0.7, 0.4]])
+        corr = np.array([[0, 1], [1, 0]])
+        povm = DiagonalPOVM(els, corr)
+        els[0] = [5.0, -2.0]
+        corr[0] = [0, 0]
+        assert povm.elements.tolist() == [[0.3, 0.6], [0.7, 0.4]]
+        assert povm.corrections.tolist() == [[0, 1], [1, 0]]
+        for arr in (povm.elements, povm.corrections, povm.support):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            embed_povm(povm)
+
 
 class TestEmbedPovm:
     def test_certain_outcome_gives_z(self):

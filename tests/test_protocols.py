@@ -27,7 +27,6 @@ from entconc import (
     dejmps_plan,
     fidelity,
     find_catalyst,
-    joint_surrogate,
     optimize_distillation,
     partial_trace,
     prepare_state,
@@ -60,7 +59,7 @@ def diag_state(schmidt):
 class TestJointSurrogate:
     def test_matches_full_eigensolve(self, rng):
         rho = prepare_state(NoiseParams(a=0.2, p_d=0.05))
-        sur = joint_surrogate(rho, rho)
+        sur = protocols.nec_planning_states(rho, rho)[0]
         full = np.kron(rho, rho)
         perm_axes = [0, 2, 1, 3]
         t = full.reshape([2] * 8)
@@ -72,7 +71,7 @@ class TestJointSurrogate:
 
     def test_perfect_pairs(self):
         bell_dm = np.outer(PHI_PLUS, PHI_PLUS.conj())
-        sur = joint_surrogate(bell_dm, bell_dm)
+        sur = protocols.nec_planning_states(bell_dm, bell_dm)[0]
         assert abs(np.linalg.norm(sur) - 1.0) < 1e-12
 
 
@@ -180,7 +179,7 @@ class TestFindCatalyst:
             source = {
                 -1: np.eye(4).ravel().astype(complex) / 2.0,
                 # the same four equal coefficients, as the surrogate path builds them
-                -2: joint_surrogate(*[np.outer(PHI_PLUS, PHI_PLUS.conj())] * 2),
+                -2: protocols.nec_planning_states(*[np.outer(PHI_PLUS, PHI_PLUS.conj())] * 2)[0],
                 # an equal pair and two zeros
                 -3: diag_state([0.5, 0.5, 0.0, 0.0]),
             }[seed]
@@ -199,7 +198,7 @@ class TestFindCatalyst:
         monkeypatch.setattr(protocols, "vidal_probability",
                             lambda a, b: calls.append(1) or score(a, b))
         rho = prepare_state(NoiseParams(a=0.1, p_d=0.05))
-        find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
+        find_catalyst(protocols.nec_planning_states(rho, rho)[0], PHI_PLUS)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("which", [0, 1])
@@ -410,7 +409,7 @@ class TestScheduleReplay:
     ])
     def test_recompile_at_gate_noise(self, a, p_d, g, p_g):
         rho = prepare_state(NoiseParams(a=a, p_d=p_d))
-        spec = find_catalyst(joint_surrogate(rho, rho), PHI_PLUS)
+        spec = find_catalyst(protocols.nec_planning_states(rho, rho)[0], PHI_PLUS)
         first = run_cec(rho, rho, spec, g, p_g)
         reuse_catalyst(first, rho, rho, p_g, recompile_from_state=True)
 
@@ -458,15 +457,100 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="p_g"):
             self.GATE_NOISE_RUNNERS[runner](self.RHO, p_g)
 
-    def test_search_validates_once(self, monkeypatch):
-        import entconc.protocols as protocols
-
+    def count_checks(self, monkeypatch) -> list:
         calls = []
         check = protocols.assert_density_matrix
         monkeypatch.setattr(protocols, "assert_density_matrix",
                             lambda rho: calls.append(1) or check(rho))
-        optimize_distillation(self.RHO, self.RHO)
+        return calls
+
+    def test_search_validates_once(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        optimize_distillation(self.RHO, self.RHO.copy())
         assert len(calls) == 2
+
+    def test_one_object_as_both_pairs_is_checked_once(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        optimize_distillation(self.RHO, self.RHO)
+        assert len(calls) == 1
+
+    BAD_PAIRS = {
+        "unnormalized": (3.0 * RHO, "trace"),
+        "non-positive": (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), "eigenvalue"),
+        "non-Hermitian": (RHO + 0.1j * np.eye(4), "Hermitian"),
+        "3x3": (np.eye(3) / 3, "4x4"),
+    }
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", sorted(BAD_PAIRS))
+    def test_planners_check_pairs_as_runners_do(self, bad, which):
+        pairs = [self.RHO, self.RHO]
+        pairs[which], match = self.BAD_PAIRS[bad]
+        spec = catalyst_from_schmidt(0.75)
+        calls = [
+            (lambda: protocols.nec_planning_states(*pairs), lambda: run_nec(*pairs)),
+            (lambda: protocols.cec_planning_states(*pairs, spec.state),
+             lambda: run_cec(*pairs, spec)),
+        ]
+        for plan, run in calls:
+            with pytest.raises(ValueError, match=match) as planned:
+                plan()
+            with pytest.raises(ValueError) as ran:
+                run()
+            assert str(planned.value) == str(ran.value)
+
+    @pytest.mark.parametrize("catalyst", [
+        np.array([1.0, 0.0, 0.0], dtype=complex),
+        np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex),
+        np.eye(4, dtype=complex) / 4,
+    ], ids=["3 entries", "5 entries", "4x4 matrix"])
+    def test_catalyst_must_be_a_pair_vector(self, catalyst):
+        with pytest.raises(ValueError, match="catalyst must be a 4-entry pair vector"):
+            protocols.cec_planning_states(self.RHO, self.RHO, catalyst)
+        spec = CatalystSpec(schmidt=np.array([1.0, 0.0]), state=catalyst)
+        with pytest.raises(ValueError, match="catalyst must be a 4-entry pair vector"):
+            run_cec(self.RHO, self.RHO, spec)
+
+    @pytest.mark.parametrize("gates", [
+        (np.eye(3), np.eye(3)),
+        (np.eye(2),),
+        (2.0 * np.eye(2), 2.0 * np.eye(2)),
+        (np.eye(2), np.full((2, 2), np.nan)),
+    ], ids=["3x3", "one gate", "2I", "NaN"])
+    def test_distillation_plan_gates_checked(self, gates):
+        with pytest.raises(ValueError, match="distillation plan must hold two unitary 2x2 gates"):
+            run_distillation(self.RHO, self.RHO, DistillationPlan(gates, "Z"))
+
+    def test_clifford_plans_pass_the_gate_check(self):
+        for gate in CLIFFORDS:
+            run_distillation(self.RHO, self.RHO, DistillationPlan((gate, CLIFFORDS[-1]), "X"))
+        run_distillation(self.RHO, self.RHO, dejmps_plan())
+
+
+class TestWarmSweepPoint:
+    """A four-protocol sweep point plans each distinct pair once."""
+
+    ARGS = ["sweep", "--protocols", "nec,cec,catalyst-reuse,distillation",
+            "--axis", "pd", "--range", "0.05:0.05:0.05", "--a", "0.1"]
+
+    def test_surrogates_and_checks_per_point(self, monkeypatch, capsys):
+        from entconc.cli import main
+
+        assert main(self.ARGS) == 0
+        counts = {"surrogate": 0, "assert_density_matrix": 0}
+        for name in counts:
+            func = getattr(protocols, name)
+
+            def counted(*args, _name=name, _func=func):
+                counts[_name] += 1
+                return _func(*args)
+
+            monkeypatch.setattr(protocols, name, counted)
+        assert main(self.ARGS) == 0
+        capsys.readouterr()
+        # NEC, the CLI's catalyst search and CEC take one surrogate each; the
+        # checks are one per runner and planner call, two for reuse's catalyst
+        assert counts == {"surrogate": 3, "assert_density_matrix": 7}
 
 
 class TestRunDistillation:

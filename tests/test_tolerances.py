@@ -299,6 +299,18 @@ class TestStructuralTol:
             with pytest.raises(ValueError, match="filter entries"):
                 execute_filter(state, [np.sqrt(1.0 + x), 1.0])
 
+    @pytest.mark.parametrize("x, ok", [(0.5e-10, True), (2e-10, False)])
+    def test_distillation_gate_unitarity(self, x, ok):
+        # G^dagger G - I = x I; the maximally mixed pairs accept with probability 1/2
+        gate = np.sqrt(1.0 + x) * np.eye(2)
+        plan = DistillationPlan((gate, np.eye(2)), "Z")
+        rho = bell_diagonal([0.25] * 4)
+        if ok:
+            run_distillation(rho, rho, plan)
+        else:
+            with pytest.raises(ValueError, match="unitary"):
+                run_distillation(rho, rho, plan)
+
 
 class TestTopDegeneracyTol:
     """1e-9: top eigenvalues closer than it are degenerate, with a warning."""
