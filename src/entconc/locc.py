@@ -185,6 +185,15 @@ class ScheduleRound:
         _read_only(relabel, rows)
         return relabel, rows
 
+    @cached_property
+    def identity_outcomes(self) -> tuple:
+        """Whether each auxiliary outcome's correction is the identity.
+
+        Built and kept as ``kraus_rows`` is. ``run_schedule`` skips the
+        gather of such an outcome, whose ``relabel`` row is the identity.
+        """
+        return tuple((self.corrections == np.arange(self.embedding.data_dim)).all(axis=1).tolist())
+
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSchedule:
@@ -620,8 +629,11 @@ def run_schedule(
     outcome's branch is gathered by two ``take``s of its inverse
     correction, which send the pair index (x, y) to (inv[x], inv[y]),
     multiplied by its relabelled M_m, and the branches are summed in
-    outcome order. The index and the relabelled rows of U are the round's
-    ``kraus_rows``, built on its first execution.
+    outcome order; an outcome whose correction is the identity (outcome 0
+    of every one-step round, and every noise-only outcome) is taken as it
+    is, without the ``take``s. The index and the relabelled rows of U are
+    the round's ``kraus_rows``, and the identity flags its
+    ``identity_outcomes``, built on its first execution.
 
     With ``state`` omitted the pure source state of the schedule is used.
     Returns (success probability, output density matrix). Raises ValueError
@@ -647,8 +659,9 @@ def run_schedule(
         relabel, rows = rnd.kraus_rows
         mats = np.einsum("mjx,x,mkx->mjk", rows, aux.ravel(), rows.conj())
         branches = (
-            rho.take(idx, axis=0).take(idx, axis=1).reshape(d, d, d, d) * mat.reshape(d, 1, d, 1)
-            for idx, mat in zip(relabel, mats)
+            (rho if same else rho.take(idx, axis=0).take(idx, axis=1)).reshape(d, d, d, d)
+            * mat.reshape(d, 1, d, 1)
+            for idx, mat, same in zip(relabel, mats, rnd.identity_outcomes)
         )
         rho = reduce(np.add, branches).reshape(rho.shape)
     w, rho = execute_filter(rho, schedule.final_filter)

@@ -5,10 +5,19 @@ system in party layout (all of A's qubits, then all of B's), plans against
 the pure surrogate of the input, executes the compiled schedule with
 optional gate noise, and reduces the success branch to the designated
 output pair. The designated output pair is always the first prepared pair.
-Every pair state passes one check, once per distinct input object. The
-runners and the public ``nec_planning_states`` and ``cec_planning_states``
-plan through one private planner, in which the catalytic case is the
-non-catalytic one with the catalyst pair added to both sides.
+The runners and the public ``nec_planning_states`` and
+``cec_planning_states`` plan through one private planner, in which the
+catalytic case is the non-catalytic one with the catalyst pair added to
+both sides.
+
+Each distinct pair value is checked once per process, and each distinct
+planned pair has its surrogate taken once: two memos keyed on the pair's
+complex128 bytes keep the last ``_MEMO_SIZE`` passed checks and planned
+surrogates (reuse's ``catalyst_post`` is checked but never planned from,
+unless a link recompiles from it, which takes its surrogate afresh). So an
+``entconc sweep`` point running all four protocols makes 1 ``surrogate``
+call and 2 ``assert_density_matrix`` calls (the pair and the catalyst's
+post-run state) cold, and none when it is run again.
 
 Conversion runners:
 - ``run_nec``: two pairs into one Bell pair, no catalyst.
@@ -48,9 +57,7 @@ from .qmath import (
     clip_unit,
     fidelity,
     partial_trace,
-    permute_subsystems,
     schmidt_decompose,
-    tensor,
 )
 from .majorize import vidal_probability
 
@@ -187,27 +194,52 @@ def dejmps_plan() -> DistillationPlan:
 def _pair_states(*states) -> list:
     """The inputs as complex arrays, each checked to be a 4x4 density matrix.
 
-    Each distinct input object is converted and checked once, and the same
-    object passed twice comes back as one array twice. Raises ValueError
-    for a wrong shape or for a matrix that is not Hermitian, of unit trace
-    and positive (``assert_density_matrix``).
+    A pair passes ``assert_density_matrix`` once per distinct value: the
+    last ``_MEMO_SIZE`` passed checks are kept, keyed on the pair's
+    complex128 bytes, so a pair passed twice, copied, or rebuilt with the
+    same entries is checked once, and a pair changed in place is checked
+    again. A failed check is not kept. Raises ValueError for a wrong shape
+    or for a matrix that is not Hermitian, of unit trace and positive.
     """
-    checked = {id(rho): np.asarray(rho, dtype=complex) for rho in states}
-    for rho in checked.values():
+    pairs = [np.asarray(rho, dtype=complex) for rho in states]
+    for rho in pairs:
         if rho.shape != (4, 4):
             raise ValueError(f"pair state must be 4x4, got shape {rho.shape}")
-        assert_density_matrix(rho)
-    return [checked[id(rho)] for rho in states]
+        _check_pair(rho.tobytes())
+    return pairs
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _check_pair(key: bytes) -> None:
+    assert_density_matrix(np.frombuffer(key, dtype=complex).reshape(4, 4))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pair_surrogate(key: bytes) -> np.ndarray:
+    """``surrogate`` of the checked pair with complex128 bytes ``key``, read-only."""
+    top = surrogate(np.frombuffer(key, dtype=complex).reshape(4, 4))
+    _read_only(top)
+    return top
 
 
 def _parties(*pairs) -> np.ndarray:
     """Product of pair states (vectors or density matrices), party-ordered.
 
-    The product's qubits [A1, B1, A2, B2, ...] become [A1, A2, ..., B1, B2, ...].
+    The product's qubits [A1, B1, A2, B2, ...] come as [A1, A2, ..., B1,
+    B2, ...]. It is built in that order, as one broadcast product of the
+    pairs with their (A, B) axes, and those of a matrix's columns, placed
+    in party order: each entry is the left-to-right product of one entry
+    per pair, as in ``tensor``, so the result is bit-equal to
+    ``permute_subsystems(tensor(*pairs), perm)`` for the party permutation.
     """
     n = len(pairs)
-    perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-    return permute_subsystems(tensor(*pairs), perm)
+    out = None
+    for k, pair in enumerate(pairs):
+        pair = np.asarray(pair, dtype=complex)
+        shape = [1] * (2 * n * pair.ndim)
+        shape[k::n] = [2] * (2 * pair.ndim)
+        out = pair.reshape(shape) if out is None else out * pair.reshape(shape)
+    return out.reshape((4**n,) * pair.ndim)
 
 
 _TARGET_PAIRS = (PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex))
@@ -217,15 +249,19 @@ def _planning_states(rho_a: np.ndarray, rho_b: np.ndarray, catalyst=None) -> tup
     """Source and target of the conversion of two checked pairs.
 
     The source is the party-ordered product of the pairs' surrogates, one
-    ``surrogate`` per distinct pair object; the target is Phi+ (x) |00>.
-    A ``catalyst`` pair vector joins both as the last pair, so catalytic
+    ``surrogate`` per distinct pair value while the last ``_MEMO_SIZE``
+    are kept (``_pair_surrogate``); the target is Phi+ (x) |00>. A
+    ``catalyst`` pair vector joins both as the last pair, so catalytic
     planning is the non-catalytic case with one more pair. Raises
-    ValueError unless the catalyst has four entries.
+    ValueError unless the catalyst has four entries and unit norm within
+    UNIT_TOL; a NaN or infinite entry fails the norm.
     """
     cat = [] if catalyst is None else [np.asarray(catalyst, dtype=complex).reshape(-1)]
     if cat and cat[0].size != 4:
         raise ValueError(f"catalyst must be a 4-entry pair vector, got {np.shape(catalyst)}")
-    tops = [surrogate(rho_a)] * 2 if rho_b is rho_a else [surrogate(rho_a), surrogate(rho_b)]
+    if cat and not abs(np.linalg.norm(cat[0]) - 1.0) <= UNIT_TOL:
+        raise ValueError(f"catalyst must have finite entries and unit norm within {UNIT_TOL}")
+    tops = [_pair_surrogate(rho.tobytes()) for rho in (rho_a, rho_b)]
     return _parties(*tops, *cat), _parties(*_TARGET_PAIRS, *cat)
 
 

@@ -125,10 +125,11 @@ MIN_ACCEPTANCE = 1e-9
 PIN_TOL = 1e-8
 
 # Entries kept by every memo of the package: ``locc.compile_schedule``'s
-# three, ``protocols.find_catalyst``'s and the Birkhoff support rules of
-# ``majorize``. One p_d grid of 22 points (0 to 0.1 in steps of 0.01) at
-# a = 0 and 0.1 has 28 distinct compile inputs and 14 catalyst inputs, so
-# the grid swept again, or at each of several p_g, plans nothing twice; 800
+# three, ``protocols.find_catalyst``'s, the pair checks and surrogates of
+# ``protocols`` and the Birkhoff support rules of ``majorize``. One p_d grid
+# of 22 points (0 to 0.1 in steps of 0.01) at a = 0 and 0.1 has 28 distinct
+# compile inputs, 22 planned pairs and 14 catalyst inputs, so the grid swept
+# again, or at each of several p_g, plans nothing twice; 800
 # seeded ``compile-grid`` draws (3,200 NEC, CEC and random inputs, each at
 # g = 1, 2, 3) meet only 23 support patterns in all.
 _MEMO_SIZE = 32
@@ -244,6 +245,12 @@ def assert_pure_state(psi: np.ndarray) -> None:
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Reduced state of a qubit register on the qubits listed in ``keep``.
 
+    Each traced qubit, last first, is summed out as its two diagonal slices
+    t[.., 0, .., 0, ..] + t[.., 1, .., 1, ..]. That is ``np.trace``'s sum
+    but for its start at +0.0, which only turns a zero sum of -0.0 entries
+    into +0.0; one + 0.0 at the end does that for every traced qubit, so
+    the result is bit-equal to the sequential ``np.trace`` loop.
+
     Parameters
     ----------
     rho : square complex array
@@ -258,7 +265,10 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     traced = [i for i in range(n) if i not in keep]
     t = rho.reshape(dims + dims)
     for i in reversed(traced):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
+        gap = (slice(None),) * (t.ndim // 2 - 1)
+        t = t[(slice(None),) * i + (0,) + gap + (0,)] + t[(slice(None),) * i + (1,) + gap + (1,)]
+    if traced:
+        t = t + 0.0
     return t.reshape(2 ** len(keep), 2 ** len(keep))
 
 

@@ -466,8 +466,9 @@ class TestInputValidation:
 
     def test_search_validates_once(self, monkeypatch):
         calls = self.count_checks(monkeypatch)
+        # a copy holds the same value, so the memoized check runs once
         optimize_distillation(self.RHO, self.RHO.copy())
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_one_object_as_both_pairs_is_checked_once(self, monkeypatch):
         calls = self.count_checks(monkeypatch)
@@ -500,6 +501,24 @@ class TestInputValidation:
             assert str(planned.value) == str(ran.value)
 
     @pytest.mark.parametrize("catalyst", [
+        np.array([2.0, 0.0, 0.0, 0.0], dtype=complex),
+        np.array([np.nan, 0.0, 0.0, 1.0], dtype=complex),
+        np.array([np.inf, 0.0, 0.0, 0.0], dtype=complex),
+        np.array([1.0 + 2e-12, 0.0, 0.0, 0.0], dtype=complex),
+    ], ids=["norm 2", "NaN", "inf", "norm 1 + 2e-12"])
+    def test_catalyst_must_have_unit_norm(self, catalyst):
+        with pytest.raises(ValueError, match="catalyst must have finite entries and unit norm"):
+            protocols.cec_planning_states(self.RHO, self.RHO, catalyst)
+        spec = CatalystSpec(schmidt=np.array([1.0, 0.0]), state=catalyst)
+        with pytest.raises(ValueError, match="catalyst must have finite entries and unit norm"):
+            run_cec(self.RHO, self.RHO, spec)
+
+    def test_catalyst_norm_within_unit_tol_passes(self):
+        catalyst = np.array([1.0 + 5e-13, 0.0, 0.0, 0.0], dtype=complex)
+        source, target = protocols.cec_planning_states(self.RHO, self.RHO, catalyst)
+        assert source.shape == target.shape == (64,)
+
+    @pytest.mark.parametrize("catalyst", [
         np.array([1.0, 0.0, 0.0], dtype=complex),
         np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex),
         np.eye(4, dtype=complex) / 4,
@@ -528,15 +547,13 @@ class TestInputValidation:
 
 
 class TestWarmSweepPoint:
-    """A four-protocol sweep point plans each distinct pair once."""
+    """A four-protocol sweep point checks and plans each distinct pair once."""
 
     ARGS = ["sweep", "--protocols", "nec,cec,catalyst-reuse,distillation",
             "--axis", "pd", "--range", "0.05:0.05:0.05", "--a", "0.1"]
 
-    def test_surrogates_and_checks_per_point(self, monkeypatch, capsys):
-        from entconc.cli import main
-
-        assert main(self.ARGS) == 0
+    @staticmethod
+    def counted(monkeypatch) -> dict:
         counts = {"surrogate": 0, "assert_density_matrix": 0}
         for name in counts:
             func = getattr(protocols, name)
@@ -546,11 +563,89 @@ class TestWarmSweepPoint:
                 return _func(*args)
 
             monkeypatch.setattr(protocols, name, counted)
+        return counts
+
+    def test_surrogates_and_checks_per_point(self, monkeypatch, capsys):
+        from entconc.cli import main
+
+        assert main(self.ARGS) == 0
+        counts = self.counted(monkeypatch)
         assert main(self.ARGS) == 0
         capsys.readouterr()
-        # NEC, the CLI's catalyst search and CEC take one surrogate each; the
-        # checks are one per runner and planner call, two for reuse's catalyst
-        assert counts == {"surrogate": 3, "assert_density_matrix": 7}
+        # the pair and reuse's catalyst_post were checked, and the pair
+        # planned, by the first run; the same values hit both memos
+        assert counts == {"surrogate": 0, "assert_density_matrix": 0}
+
+    def test_cold_point_checks_two_pairs_and_plans_one(self, monkeypatch, capsys):
+        from entconc.cli import main
+
+        counts = self.counted(monkeypatch)
+        assert main(self.ARGS) == 0
+        # one surrogate of the pair; checks of the pair and of catalyst_post
+        assert counts == {"surrogate": 1, "assert_density_matrix": 2}
+        assert protocols._pair_surrogate.cache_info().currsize == 1
+        assert protocols._check_pair.cache_info().currsize == 2
+        assert main(self.ARGS) == 0
+        capsys.readouterr()
+        assert counts == {"surrogate": 1, "assert_density_matrix": 2}
+
+
+class TestPairMemos:
+    """The check and surrogate memos hold passed checks of pair values only."""
+
+    RHO = prepare_state(NoiseParams(a=0.1, p_d=0.05))
+
+    def test_pair_changed_in_place_is_checked_again(self):
+        rho = self.RHO.copy()
+        run_nec(rho, rho)
+        optimize_distillation(rho, rho)
+        rho[0, 1] += 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            run_nec(rho, rho)
+        with pytest.raises(ValueError, match="Hermitian"):
+            optimize_distillation(rho, rho)
+        with pytest.raises(ValueError, match="Hermitian"):
+            protocols.nec_planning_states(rho, rho)
+
+    def test_failed_check_is_not_kept(self, monkeypatch):
+        calls = []
+        check = protocols.assert_density_matrix
+        monkeypatch.setattr(protocols, "assert_density_matrix",
+                            lambda rho: calls.append(1) or check(rho))
+        bad = self.RHO + 0.1j * np.eye(4)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="Hermitian"):
+                run_nec(bad, bad)
+        assert len(calls) == 3
+        assert protocols._check_pair.cache_info().currsize == 0
+        assert protocols._pair_surrogate.cache_info().currsize == 0
+
+    def test_kept_surrogate_equals_a_fresh_one(self):
+        first, _ = protocols.nec_planning_states(self.RHO, self.RHO)
+        again, _ = protocols.nec_planning_states(self.RHO.copy(), self.RHO)
+        top = protocols._pair_surrogate(self.RHO.tobytes())
+        assert top.tobytes() == surrogate(self.RHO).tobytes()
+        assert not top.flags.writeable
+        assert first.tobytes() == again.tobytes()
+        assert protocols._pair_surrogate.cache_info().misses == 1
+
+    def test_degenerate_surrogate_warns_on_a_cold_call(self):
+        rho = prepare_state(NoiseParams(a=0.0, p_d=0.8))
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            protocols.nec_planning_states(rho, rho)
+        protocols._pair_surrogate.cache_clear()
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            run_nec(rho, rho)
+
+    def test_recompiled_reuse_takes_the_catalyst_surrogate_afresh(self, monkeypatch):
+        spec = catalyst_from_schmidt(0.75)
+        first = run_cec(self.RHO, self.RHO, spec)
+        calls = []
+        monkeypatch.setattr(protocols, "surrogate", lambda rho: calls.append(1) or surrogate(rho))
+        reuse_catalyst(first, self.RHO, self.RHO, recompile_from_state=True)
+        reuse_catalyst(first, self.RHO, self.RHO, recompile_from_state=True)
+        assert len(calls) == 2
+        assert protocols._pair_surrogate.cache_info().currsize == 1
 
 
 class TestRunDistillation:
