@@ -128,10 +128,12 @@ def _parse_group_size(text: str) -> int:
 def _noise_params(args) -> NoiseParams:
     """NoiseParams of the options as given, ``--a``, ``--pd`` and ``--pg`` included.
 
-    The depolarizing weights are the squared coherent amplitudes; for the
-    default amplitudes, NoiseParams' own exact defaults (1/3 each).
+    ``compile`` has no ``--pg``, since a schedule does not depend on p_g,
+    and is given p_g = 0. The depolarizing weights are the squared coherent
+    amplitudes; for the default amplitudes, NoiseParams' own exact defaults
+    (1/3 each).
     """
-    fields = {"a": args.a, "p_d": args.pd, "p_g": args.pg}
+    fields = {"a": args.a, "p_d": args.pd, "p_g": getattr(args, "pg", 0.0)}
     if args.weights != NoiseParams.coh_weights:
         depol = tuple(abs(w) ** 2 for w in args.weights)
         fields["coh_weights"] = args.weights
@@ -451,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coherent error probability (default 0)")
         p.add_argument("--pd", type=float, default=0.0,
                        help="incoherent error probability (default 0)")
-        p.add_argument("--pg", type=float, default=0.0,
-                       help="per-MCX gate error probability (default 0)")
         p.add_argument("--g", type=_parse_group_size, default=1,
                        help="transforms grouped per round (default 1)")
         p.add_argument("--weights", type=_parse_weights,
@@ -467,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parameter to sweep")
     p_sweep.add_argument("--range", help="lo:hi:step for the swept axis")
     add_common(p_sweep)
+    p_sweep.add_argument("--pg", type=float, default=0.0,
+                         help="per-MCX gate error probability (default 0)")
     p_sweep.add_argument("--out", default="-",
                          help="CSV output path, or - for stdout")
     p_sweep.add_argument("--svg", default=None, help="optional SVG plot path")

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .majorize import (
-    _support_rule,
     _vidal_gamma,
     birkhoff_decompose,
     fold_ttransforms,
@@ -36,19 +35,10 @@ from .majorize import (
 )
 from .noise import _depolarize_qubits
 from .qmath import (
-    _MEMO_SIZE, STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, _are_permutations, _check_probability,
-    _dims_for, _fix_degenerate_gauge, clip_unit, schmidt_decompose, tensor,
+    STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, _are_permutations, _check_probability,
+    _clear_memos, _dims_for, _fix_degenerate_gauge, _input_bytes, _memo, _read_only, clip_unit,
+    schmidt_decompose, tensor,
 )
-
-
-def _input_bytes(state) -> bytes:
-    """Memo key of a planning state: its flattened complex128 bytes."""
-    return np.asarray(state, dtype=complex).reshape(-1).tobytes()
-
-
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,11 +282,8 @@ def embed_povm(povm: DiagonalPOVM) -> EmbeddingUnitary:
     k = (m - 1).bit_length()
     ka = 2**k
     eye = np.eye(ka)
-    if m == ka:
-        col = np.sqrt(els[:, on].T)
-    else:
-        col = np.zeros((np.count_nonzero(on), ka))
-        col[:, :m] = np.sqrt(els[:, on].T)
+    col = np.zeros((np.count_nonzero(on), ka))
+    col[:, :m] = np.sqrt(els[:, on].T)
     v = -(col / np.sqrt(np.vecdot(col, col))[:, None])
     v[:, 0] += 1.0
     norm2 = np.vecdot(v, v)
@@ -483,23 +470,19 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     qubits in their zero states.
 
     ``g`` is any integer (``operator.index``) and is stored as an ``int``.
-    The last ``_MEMO_SIZE`` schedules are kept, keyed on the complex128
-    bytes of the flattened inputs and ``g``: an equal input returns the same
-    schedule object, every array of which is read-only and every sequence
-    a tuple. Everything up to the folded step chain does not depend on
-    ``g`` and is kept in a second memo of the same bound, keyed on the input
-    bytes alone, so the schedules of one input at several g share their
-    frames and vectors. The rounds depend on g only through
-    min(g, number of steps), since one chunk then holds every step: a
-    larger g shares the rounds tuple and filter of the schedule at the
-    step count (at g = 1 for a chain of no steps), compiled through the
-    same memo, and differs from it only in ``group_size``. A third memo of
-    the same bound keeps the target's identity-pinned Schmidt
-    decomposition per target and register size, shared by every source
-    planned against that target. ``birkhoff_decompose`` keeps the
-    matchings of each support pattern, so rounds of one structure share
-    them. Code that patches the compile path's internals must call
-    ``compile_schedule.cache_clear()`` first; it empties every memo.
+    Compiles are memoized (keys and traffic in the ``qmath`` memo table):
+    an equal input returns the same schedule object, every array of which
+    is read-only and every sequence a tuple. The g-independent plan up to
+    the folded step chain (``_plan``) and the target's identity-pinned
+    Schmidt decomposition (``_target_plan``) are memoized too, so the
+    schedules of one input at several g share their frames and vectors,
+    and every source planned against one target shares its decomposition.
+    The rounds depend on g only through min(g, number of steps), since one
+    chunk then holds every step: a larger g shares the rounds tuple and
+    filter of the schedule at the step count (at g = 1 for a chain of no
+    steps), and differs from it only in ``group_size``. Code that patches
+    the compile path's internals must call
+    ``compile_schedule.cache_clear()`` first; it empties all seven memos.
     """
     g = operator.index(g)
     if g < 1:
@@ -507,7 +490,7 @@ def compile_schedule(surrogate, target, g: int = 1) -> ProtocolSchedule:
     return _compile_schedule(_input_bytes(surrogate), _input_bytes(target), g)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _target_plan(target: bytes, d_l: int, d_r: int):
     """Schmidt decomposition of the padded target, pinned to the identity.
 
@@ -521,7 +504,7 @@ def _target_plan(target: bytes, d_l: int, d_r: int):
     return dec
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _plan(source: bytes, target: bytes) -> tuple:
     """The g-independent part of a compile, memoized on the input bytes.
 
@@ -555,7 +538,7 @@ def _plan(source: bytes, target: bytes) -> tuple:
     return alpha_dec, beta_dec, r, gamma, steps
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     alpha_dec, beta_dec, r, gamma, steps = _plan(source, target)
     # past the step count one chunk holds every step, so the rounds are those
@@ -599,13 +582,6 @@ def _compile_schedule(source: bytes, target: bytes, g: int) -> ProtocolSchedule:
     for rnd in rounds:
         _read_only(rnd.current, rnd.target_vector, rnd.embedding.blocks)
     return schedule
-
-
-def _clear_memos() -> None:
-    _compile_schedule.cache_clear()
-    _plan.cache_clear()
-    _target_plan.cache_clear()
-    _support_rule.cache_clear()
 
 
 compile_schedule.cache_info = _compile_schedule.cache_info

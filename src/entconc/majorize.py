@@ -11,13 +11,12 @@ T-transform coordinate indices are 0-based.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .qmath import (
-    _MEMO_SIZE, INPUT_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, ZERO_TOL, clip_unit,
+    INPUT_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, UNIT_TOL, WEIGHT_TOL, ZERO_TOL, _memo, clip_unit,
 )
 
 
@@ -399,7 +398,7 @@ def _first_bottleneck(matchings: list, d: int):
 MATCHING_CAP = 256
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _support_rule(mask: bytes, d: int):
     """``_first_bottleneck`` of the d x d support ``mask``, or None past MATCHING_CAP.
 
@@ -451,18 +450,17 @@ def birkhoff_decompose(dmat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     support are listed once (``_support_matchings``), and each step picks
     from that list (``_first_bottleneck``). The list and its rule depend
     on the support alone, so they are memoized on the support pattern and
-    d, the last ``qmath._MEMO_SIZE`` patterns kept; matrices of one support
-    and different values share them. Past MATCHING_CAP matchings, each
-    step runs ``_lex_bottleneck_matching`` itself, and that verdict is
-    memoized the same way. ``locc.compile_schedule.cache_clear()`` empties
-    the memo. Permutations
-    are returned as index arrays p with matrix[i, p[i]] = 1, so
-    (P v)[i] = v[p[i]]. The input is held to what the peel can decompose:
-    entries down to -RESIDUAL_TOL / (2d) count as nonnegative, and every
-    row and column sum must lie within RESIDUAL_TOL / (2d) of 1; beyond
-    that a ValueError says it is not doubly stochastic, and within it the
-    peel ends with every entry below RESIDUAL_TOL (see the ``qmath``
-    tolerance table). An empty or non-square input raises ValueError.
+    d (``_support_rule``, in the ``qmath`` memo table); matrices of one
+    support and different values share them. Past MATCHING_CAP matchings,
+    each step runs ``_lex_bottleneck_matching`` itself, and that verdict is
+    memoized the same way. Permutations are returned as index arrays p
+    with matrix[i, p[i]] = 1, so (P v)[i] = v[p[i]]. The input is held to
+    what the peel can decompose: entries down to -RESIDUAL_TOL / (2d)
+    count as nonnegative, and every row and column sum must lie within
+    RESIDUAL_TOL / (2d) of 1; beyond that a ValueError says it is not
+    doubly stochastic, and within it the peel ends with every entry below
+    RESIDUAL_TOL (see the ``qmath`` tolerance table). An empty or
+    non-square input raises ValueError.
     """
     m = np.asarray(dmat, dtype=float)
     d = m.shape[0]

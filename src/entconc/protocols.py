@@ -10,14 +10,14 @@ The runners and the public ``nec_planning_states`` and
 catalytic case is the non-catalytic one with the catalyst pair added to
 both sides.
 
-Each distinct pair value is checked once per process, and each distinct
-planned pair has its surrogate taken once: two memos keyed on the pair's
-complex128 bytes keep the last ``_MEMO_SIZE`` passed checks and planned
-surrogates (reuse's ``catalyst_post`` is checked but never planned from,
-unless a link recompiles from it, which takes its surrogate afresh). So an
-``entconc sweep`` point running all four protocols makes 1 ``surrogate``
-call and 2 ``assert_density_matrix`` calls (the pair and the catalyst's
-post-run state) cold, and none when it is run again.
+Pair checks and planned surrogates are memoized on the pair's complex128
+bytes (``_check_pair`` and ``_pair_surrogate``; keys, bound and traffic in
+the ``qmath`` memo table), so a pair value is checked and planned again
+only once its memo has dropped it. Reuse's ``catalyst_post`` is checked
+but never planned from, unless a link recompiles from it, which takes its
+surrogate afresh. So an ``entconc sweep`` point running all four protocols
+makes 1 ``surrogate`` call and 2 ``assert_density_matrix`` calls (the pair
+and the catalyst's post-run state) cold, and none when it is run again.
 
 Conversion runners:
 - ``run_nec``: two pairs into one Bell pair, no catalyst.
@@ -33,26 +33,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .locc import (
-    ProtocolSchedule,
-    _input_bytes,
-    _read_only,
-    compile_schedule,
-    run_schedule,
-)
+from .locc import ProtocolSchedule, compile_schedule, run_schedule
 from .noise import PHI_PLUS, _depolarize_qubits, surrogate
 from .qmath import (
-    _MEMO_SIZE,
     MIN_ACCEPTANCE,
     PAULI_I,
     PAULI_X,
     STRUCTURAL_TOL,
     UNIT_TOL,
     _check_probability,
+    _clear_memos,
+    _input_bytes,
+    _memo,
+    _read_only,
     assert_density_matrix,
     clip_unit,
     fidelity,
@@ -194,10 +190,9 @@ def dejmps_plan() -> DistillationPlan:
 def _pair_states(*states) -> list:
     """The inputs as complex arrays, each checked to be a 4x4 density matrix.
 
-    A pair passes ``assert_density_matrix`` once per distinct value: the
-    last ``_MEMO_SIZE`` passed checks are kept, keyed on the pair's
-    complex128 bytes, so a pair passed twice, copied, or rebuilt with the
-    same entries is checked once, and a pair changed in place is checked
+    Passed checks are memoized on the pair's complex128 bytes
+    (``_check_pair``), so a pair passed twice, copied, or rebuilt with the
+    same entries hits the memo, and a pair changed in place is checked
     again. A failed check is not kept. Raises ValueError for a wrong shape
     or for a matrix that is not Hermitian, of unit trace and positive.
     """
@@ -209,12 +204,12 @@ def _pair_states(*states) -> list:
     return pairs
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _check_pair(key: bytes) -> None:
     assert_density_matrix(np.frombuffer(key, dtype=complex).reshape(4, 4))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _pair_surrogate(key: bytes) -> np.ndarray:
     """``surrogate`` of the checked pair with complex128 bytes ``key``, read-only."""
     top = surrogate(np.frombuffer(key, dtype=complex).reshape(4, 4))
@@ -248,13 +243,12 @@ _TARGET_PAIRS = (PHI_PLUS, np.array([1, 0, 0, 0], dtype=complex))
 def _planning_states(rho_a: np.ndarray, rho_b: np.ndarray, catalyst=None) -> tuple:
     """Source and target of the conversion of two checked pairs.
 
-    The source is the party-ordered product of the pairs' surrogates, one
-    ``surrogate`` per distinct pair value while the last ``_MEMO_SIZE``
-    are kept (``_pair_surrogate``); the target is Phi+ (x) |00>. A
-    ``catalyst`` pair vector joins both as the last pair, so catalytic
-    planning is the non-catalytic case with one more pair. Raises
-    ValueError unless the catalyst has four entries and unit norm within
-    UNIT_TOL; a NaN or infinite entry fails the norm.
+    The source is the party-ordered product of the pairs' surrogates,
+    memoized per pair value (``_pair_surrogate``); the target is
+    Phi+ (x) |00>. A ``catalyst`` pair vector joins both as the last pair,
+    so catalytic planning is the non-catalytic case with one more pair.
+    Raises ValueError unless the catalyst has four entries and unit norm
+    within UNIT_TOL; a NaN or infinite entry fails the norm.
     """
     cat = [] if catalyst is None else [np.asarray(catalyst, dtype=complex).reshape(-1)]
     if cat and cat[0].size != 4:
@@ -347,15 +341,16 @@ def find_catalyst(surrogate: np.ndarray, target: np.ndarray) -> CatalystSpec:
     convertible inputs return the product catalyst (1, 0).
     ``achieved_probability`` is the best score on the grid.
 
-    As ``compile_schedule`` does, the last ``_MEMO_SIZE`` results are kept,
-    keyed on the complex128 bytes of the flattened inputs, and returned
-    shared, with read-only arrays. Code that patches the search's internals
-    must call ``find_catalyst.cache_clear()`` first.
+    As ``compile_schedule`` does, results are memoized on the complex128
+    bytes of the flattened inputs (see the ``qmath`` memo table) and
+    returned shared, with read-only arrays. Code that patches the search's
+    internals must call ``find_catalyst.cache_clear()`` first; like
+    ``compile_schedule.cache_clear()``, it empties all seven memos.
     """
     return _find_catalyst(_input_bytes(surrogate), _input_bytes(target))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _find_catalyst(source: bytes, target: bytes) -> CatalystSpec:
     vectors = []
     for state in (np.frombuffer(b, dtype=complex) for b in (source, target)):
@@ -374,7 +369,7 @@ def _find_catalyst(source: bytes, target: bytes) -> CatalystSpec:
 
 
 find_catalyst.cache_info = _find_catalyst.cache_info
-find_catalyst.cache_clear = _find_catalyst.cache_clear
+find_catalyst.cache_clear = _clear_memos
 
 
 def run_cec(

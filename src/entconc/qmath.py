@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -124,15 +125,55 @@ INPUT_TOL = 1e-9
 MIN_ACCEPTANCE = 1e-9
 PIN_TOL = 1e-8
 
-# Entries kept by every memo of the package: ``locc.compile_schedule``'s
-# three, ``protocols.find_catalyst``'s, the pair checks and surrogates of
-# ``protocols`` and the Birkhoff support rules of ``majorize``. One p_d grid
-# of 22 points (0 to 0.1 in steps of 0.01) at a = 0 and 0.1 has 28 distinct
-# compile inputs, 22 planned pairs and 14 catalyst inputs, so the grid swept
-# again, or at each of several p_g, plans nothing twice; 800
-# seeded ``compile-grid`` draws (3,200 NEC, CEC and random inputs, each at
-# g = 1, 2, 3) meet only 23 support patterns in all.
+# The memo policy. Every planning memo of the package is declared with
+# ``_memo``: an ``lru_cache`` of at most _MEMO_SIZE entries keyed on bytes
+# (a planning state's key is ``_input_bytes``), whose shared outputs are
+# frozen with ``_read_only``. ``_clear_memos`` empties all seven; it is
+# both ``compile_schedule.cache_clear`` and ``find_catalyst.cache_clear``.
+# Traffic is the count of distinct keys, verified on one p_d grid of 22
+# points (0 to 0.1 in steps of 0.01, a = 0 and 0.1) swept by ``entconc
+# sweep`` with nec, cec and catalyst-reuse at g = 1, and on 800 seeded
+# ``compile-grid`` draws (3,200 inputs, each at g = 1, 2, 3):
+#
+#   memo                       key                     traffic
+#   locc._compile_schedule     source, target, g       28 per grid
+#   locc._plan                 source, target          28 per grid
+#   locc._target_plan          target, register sizes  13 per grid
+#   majorize._support_rule     support mask, d         23 in the 800 draws
+#   protocols._find_catalyst   source, target          14 per grid
+#   protocols._pair_surrogate  pair                    22 per grid
+#   protocols._check_pair      pair (passed checks)    36 per grid at p_g = 0
+#
+# So the grid swept again, or at each of several p_g, plans nothing twice.
+# Only the check memo overflows: reuse's ``catalyst_post`` states (14 at
+# p_g = 0, 18 at p_g = 0.001, new at each p_g) join the grid's 22 pairs.
 _MEMO_SIZE = 32
+_MEMOS = []
+
+
+def _memo(fn):
+    """``fn`` memoized under _MEMO_SIZE and recorded for ``_clear_memos``."""
+    memo = lru_cache(maxsize=_MEMO_SIZE)(fn)
+    _MEMOS.append(memo)
+    return memo
+
+
+def _clear_memos() -> None:
+    """Empty every planning memo of the package."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+def _input_bytes(state) -> bytes:
+    """Memo key of a planning state: its flattened complex128 bytes."""
+    return np.asarray(state, dtype=complex).reshape(-1).tobytes()
+
+
+def _read_only(*arrays) -> None:
+    """Freeze arrays a memo shares: each refuses an in-place write."""
+    for a in arrays:
+        a.setflags(write=False)
+
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

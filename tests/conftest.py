@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from entconc import (
-    PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, compile_schedule, find_catalyst, protocols,
-)
+from entconc import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, compile_schedule
 
 # Property tests draw the same examples on every run (derandomize), are not
 # timed per example (deadline), and stay within a bounded example count.
@@ -16,16 +14,13 @@ settings.load_profile("entconc")
 
 @pytest.fixture(autouse=True)
 def empty_plan_memos():
-    """Start every test with the planning memos and the pair memos empty.
+    """Start every test with all seven planning memos empty.
 
     Tests that count calls inside the compile path, the catalyst search,
     the pair checks or the surrogates would otherwise see a plan, a check
     or a surrogate another test left behind.
     """
     compile_schedule.cache_clear()
-    find_catalyst.cache_clear()
-    protocols._check_pair.cache_clear()
-    protocols._pair_surrogate.cache_clear()
 
 
 def random_pure_state(rng, dim):

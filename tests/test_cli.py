@@ -341,6 +341,13 @@ class TestCompile:
         for rnd in doc["schedule"]["rounds"]:
             assert rnd["mcx_total"] <= 16
 
+    def test_pg_is_a_usage_error(self, capsys):
+        # a schedule does not depend on p_g, so compile takes no --pg
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "--pg", "0.01"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pg 0.01" in capsys.readouterr().err
+
     def test_compile_deterministic(self, tmp_path):
         args = ["compile", "--protocol", "nec", "--a", "0.05", "--pd", "0.02"]
         f1 = tmp_path / "a.json"

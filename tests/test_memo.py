@@ -8,8 +8,8 @@ keeps the g-independent plan of an input, shared by its schedules at
 every g, shares the rounds of a g past the step count, and keeps the
 Birkhoff matching rule of each support. One sweep's p_d grid at two
 values of a fits every planning memo, so sweeping it again, or at
-another p_g, plans nothing twice. The conftest fixture empties both memos before each
-test.
+another p_g, plans nothing twice. The conftest fixture empties all seven
+memos before each test.
 """
 
 import dataclasses
@@ -26,7 +26,9 @@ from entconc import (
     embed_povm,
     find_catalyst,
     locc,
+    majorize,
     prepare_state,
+    protocols,
     result_to_document,
     reuse_catalyst,
     run_cec,
@@ -36,7 +38,7 @@ from entconc import (
     synthesize,
 )
 from entconc.cli import main
-from entconc.locc import _MEMO_SIZE
+from entconc.qmath import _MEMO_SIZE
 from entconc.protocols import cec_planning_states, nec_planning_states
 
 GROUPS = (1, 2, 3)
@@ -219,9 +221,9 @@ class TestSynthesisMemo:
 
     def test_cache_clear_empties_the_structure_memos(self, inputs):
         compile_schedule(*inputs["cec"], 2)
-        assert locc._support_rule.cache_info().currsize > 0
+        assert majorize._support_rule.cache_info().currsize > 0
         compile_schedule.cache_clear()
-        assert locc._support_rule.cache_info().currsize == 0
+        assert majorize._support_rule.cache_info().currsize == 0
 
 
 class TestCompileKey:
@@ -490,3 +492,19 @@ class TestTargetPlan:
         assert [memo.cache_info().currsize for memo in memos] == [1, 1, 1]
         compile_schedule.cache_clear()
         assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+
+    @pytest.mark.parametrize("clear", [compile_schedule.cache_clear, find_catalyst.cache_clear],
+                             ids=["compile_schedule", "find_catalyst"])
+    def test_either_clear_empties_all_seven_memos(self, inputs, capsys, clear):
+        memos = (locc._compile_schedule, locc._plan, locc._target_plan, majorize._support_rule,
+                 protocols._find_catalyst, protocols._check_pair, protocols._pair_surrogate)
+        point = ["sweep", "--protocols", "nec,cec,catalyst-reuse,distillation",
+                 "--axis", "pd", "--range", "0.05:0.05:1", "--a", "0.1"]
+        assert main(point) == 0
+        compile_schedule(*inputs["cec"], 2)
+        assert all(memo.cache_info().currsize > 0 for memo in memos)
+        clear()
+        assert [memo.cache_info().currsize for memo in memos] == [0] * 7
+        assert main(point) == 0
+        capsys.readouterr()
+        assert protocols._pair_surrogate.cache_info().misses == 1
